@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench artifacts chaos-smoke trace-smoke serve-smoke
+.PHONY: all build test race vet lint check bench artifacts chaos-smoke trace-smoke serve-smoke profile-smoke
 
 all: check
 
@@ -87,3 +87,18 @@ trace-smoke:
 	cmp trace1.json trace4.json
 	$(GO) run ./cmd/dextrace -validate trace1.json
 	rm -f trace1.json trace4.json
+
+# profile-smoke runs every example program and compares the page-fault
+# profiler's output — dexprof's full report and the profiler and affinity
+# examples — with the committed goldens.
+profile-smoke:
+	$(GO) run ./cmd/dexprof -app kmn -nodes 4 -variant initial -top 5 -affinity -timeline > prof.txt
+	cmp prof.txt cmd/dexprof/testdata/golden.txt
+	@for d in examples/*/; do \
+		n=$$(basename $$d); \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > example-$$n.txt || exit 1; \
+	done
+	cmp example-profiler.txt examples/profiler/testdata/golden.txt
+	cmp example-affinity.txt examples/affinity/testdata/golden.txt
+	rm -f prof.txt example-*.txt
