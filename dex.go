@@ -68,7 +68,9 @@ type (
 	Addr = mem.Addr
 	// Prot is a memory-protection mask.
 	Prot = mem.Prot
-	// Trace is the page-fault profiler (§IV-A of the paper).
+	// Trace is the page-fault profiler's view of a run (§IV-A of the
+	// paper): the fault stream a Recorder captured, with the analyses the
+	// paper's post-processing tool performs. Build one with NewTrace.
 	Trace = profile.Trace
 	// Recorder is the observability recorder: spans, latency histograms,
 	// and gauge time series for a whole cluster run. Attach one with
@@ -100,8 +102,10 @@ var (
 	ErrBadNode    = core.ErrBadNode
 )
 
-// NewTrace returns an empty page-fault trace to pass to WithTrace.
-func NewTrace() *Trace { return profile.NewTrace() }
+// NewTrace returns the page-fault trace of a run recorded by rec (attached
+// with WithObserver). Call it after the run: it decodes the recorder's
+// fault spans as they stand.
+func NewTrace(rec *Recorder) *Trace { return profile.NewTrace(rec.Spans()) }
 
 // NewRecorder returns an empty observability recorder to pass to
 // WithObserver.
@@ -137,25 +141,18 @@ func WithSeed(seed int64) Option {
 // lookahead). Reports, stats, and rendered output are byte-identical at any
 // core count — n trades wall-clock time only, never results. n <= 1 (the
 // default) keeps the proven serial loop. The observability recorder
-// (WithObserver) is lane-sharded and runs in parallel, and the
-// distributed-manager protocol serves its directory shards on parallel
-// lanes; clusters using the page-fault profiler (WithTrace) or the
+// (WithObserver), and with it the page-fault profiler (NewTrace), is
+// lane-sharded and runs in parallel, and the distributed-manager protocol
+// serves its directory shards on parallel lanes; only clusters running the
 // home-migrate protocol clamp back to serial automatically.
 func WithCores(n int) Option {
 	return optionFunc(func(p *core.Params) { p.Cores = n })
 }
 
-// WithTrace attaches a page-fault profiler to the cluster. It composes with
-// any hook already installed (and with WithObserver's recorder), so the
-// profiler and the observability layer share the single fault-event stream
-// instead of competing for the hook slot.
-func WithTrace(tr *Trace) Option {
-	return optionFunc(func(p *core.Params) { p.Hook = dsm.Fanout(p.Hook, tr.Hook()) })
-}
-
 // WithObserver attaches an observability recorder to the cluster: every
 // layer (fabric, DSM protocol, migration) emits spans and latency
 // observations into it, and a periodic sampler records gauge time series.
+// Its fault spans are the page-fault profiler's input (NewTrace).
 // A nil recorder is allowed and disables recording. Tracing never perturbs
 // the simulation: with the recorder attached, simulated outcomes (reports,
 // stats, results) are identical to an untraced run of the same seed. The
@@ -273,8 +270,8 @@ func WithRawParams(params core.Params) Option {
 // parameters for a node count and option set. Two configurations with equal
 // fingerprints build identical clusters, so experiment harnesses can use the
 // fingerprint to key memoized simulation cells. Options carrying process
-// state (e.g. WithTrace) embed the hook's identity, which keeps traced
-// configurations from ever sharing a cell.
+// state (e.g. WithObserver) embed the recorder's identity, which keeps
+// traced configurations from ever sharing a cell.
 func ParamsFingerprint(nodes int, opts ...Option) string {
 	params := core.DefaultParams(nodes)
 	for _, o := range opts {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dex"
-	"dex/internal/dsm"
 	"dex/internal/mem"
 	"dex/internal/profile"
 )
@@ -15,14 +14,14 @@ import (
 
 func traceOf(t *testing.T, name string, v Variant, nodes int) (*profile.Trace, Result) {
 	t.Helper()
-	tr := dex.NewTrace()
+	rec := dex.NewRecorder()
 	app, _ := ByName(name)
 	res, err := app.Run(Config{Nodes: nodes, Variant: v,
-		Opts: []dex.Option{dex.WithTrace(tr)}})
+		Opts: []dex.Option{dex.WithObserver(rec)}})
 	if err != nil {
 		t.Fatalf("%s %v: %v", name, v, err)
 	}
-	return tr, res
+	return dex.NewTrace(rec), res
 }
 
 // siteEvents sums read+write events attributed to a profiling site.
@@ -142,12 +141,13 @@ func TestFTSignatureAllToAll(t *testing.T) {
 }
 
 func TestProfilerLabelsResolveAppRegions(t *testing.T) {
-	tr := dex.NewTrace()
+	rec := dex.NewRecorder()
 	app, _ := ByName("kmn")
-	cfg := Config{Nodes: 2, Variant: Initial, Opts: []dex.Option{dex.WithTrace(tr)}}
+	cfg := Config{Nodes: 2, Variant: Initial, Opts: []dex.Option{dex.WithObserver(rec)}}
 	if _, err := app.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
+	tr := dex.NewTrace(rec)
 	// Labels resolve through a synthetic labeler covering the app's known
 	// region names (the cluster is gone, so attach our own resolver).
 	tr.SetLabeler(func(a mem.Addr) string { return "region" })
@@ -161,7 +161,7 @@ func TestProfilerLabelsResolveAppRegions(t *testing.T) {
 		if ev.Addr == 0 || ev.Kind == 0 {
 			t.Fatalf("incomplete event: %+v", ev)
 		}
-		if ev.Kind != dsm.KindInvalidate && ev.Latency <= 0 {
+		if ev.Kind != profile.KindInvalidate && ev.Latency <= 0 {
 			t.Fatalf("fault without latency: %+v", ev)
 		}
 	}

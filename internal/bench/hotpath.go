@@ -39,7 +39,7 @@ import (
 func twoNodeDSM() (*sim.Engine, *dsm.Manager) {
 	eng := sim.NewEngine(1)
 	net := fabric.New(eng, fabric.DefaultParams(2))
-	m := dsm.New(eng, net, dsm.DefaultParams(), 0, 0, 2, nil)
+	m := dsm.New(eng, net, dsm.DefaultParams(), 0, 0, 2)
 	for node := 0; node < 2; node++ {
 		node := node
 		net.SetHandler(node, func(src int, msg fabric.Message) {

@@ -77,10 +77,11 @@ type Params struct {
 	// 1 (the default) runs the classic serial loop, >1 enables the
 	// conservative-parallel scheduler, which executes distinct node lanes
 	// concurrently within each link-latency lookahead window. Reports are
-	// byte-identical at any value. Features whose bookkeeping crosses node
-	// lanes in event context (Hook, the HomeMigrate protocol) force serial
-	// execution regardless of this setting; the observability recorder is
-	// lane-sharded and runs parallel.
+	// byte-identical at any value. The HomeMigrate protocol, whose
+	// bookkeeping crosses node lanes in event context, forces serial
+	// execution regardless of this setting; the observability recorder
+	// (and with it the page-fault profiler) is lane-sharded and runs
+	// parallel.
 	Cores int
 	// MemBandwidth is the per-node memory-bus bandwidth in bytes/second
 	// shared by all cores of a node; it is what saturates first for
@@ -105,9 +106,6 @@ type Params struct {
 	DSM       dsm.Params
 	Migration MigrationCosts
 
-	// Hook receives DSM fault events (the page-fault profiler attaches
-	// here).
-	Hook dsm.Hook
 	// Obs, when non-nil, records spans, histograms, and gauge samples for
 	// the whole cluster (fabric messages, DSM protocol phases, thread
 	// migrations, recovery lifecycle). The recorder adds pure bookkeeping
@@ -186,18 +184,18 @@ func NewMachine(params Params) *Machine {
 	if cores < 1 {
 		cores = 1
 	}
-	// Serialization clamps. User fault hooks observe events from whichever
-	// lane triggers them with no sharding discipline, and HomeMigrate serves
-	// page requests (mutating entries of the shared directory tree) at
-	// arbitrary nodes; both are correct only under serial execution. The
-	// observability recorder is lane-sharded (each lane appends only to its
-	// own buffer, merged deterministically at export) and no longer clamps.
-	// DistributedManager does not clamp either: its directory is sharded
-	// into per-node tables that only their own lane (or the quiescent
-	// global lane) mutates, so shards serve concurrently. Lanes are still
-	// configured identically so the event order — and every report —
-	// matches what the parallel scheduler produces for the same workload.
-	if params.Hook != nil || params.DSM.Protocol == dsm.HomeMigrate {
+	// Serialization clamp. HomeMigrate serves page requests (mutating
+	// entries of the shared directory tree) at arbitrary nodes, which is
+	// correct only under serial execution. The observability recorder, the
+	// only sink of the fault stream, is lane-sharded (each lane appends only
+	// to its own buffer, merged deterministically at export) and does not
+	// clamp. DistributedManager does not clamp either: its directory is
+	// sharded into per-node tables that only their own lane (or the
+	// quiescent global lane) mutates, so shards serve concurrently. Lanes
+	// are still configured identically so the event order — and every
+	// report — matches what the parallel scheduler produces for the same
+	// workload.
+	if params.DSM.Protocol == dsm.HomeMigrate {
 		cores = 1
 	}
 	// Lanes and lookahead must exist before fabric.New: the network binds its

@@ -25,7 +25,7 @@ func newDistChaosEnv(t *testing.T, nodes int, plan *chaos.Plan) *env {
 	eng := sim.NewEngine(1)
 	net := fabric.New(eng, fabric.DefaultParams(nodes))
 	net.SetChaos(chaos.NewInjector(plan, nodes))
-	m := New(eng, net, distParams(), 1, 0, nodes, nil)
+	m := New(eng, net, distParams(), 1, 0, nodes)
 	for i := 0; i < nodes; i++ {
 		node := i
 		net.SetHandler(node, func(src int, msg fabric.Message) {

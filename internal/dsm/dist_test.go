@@ -30,7 +30,7 @@ func addrAnchoredAt(t *testing.T, m *Manager, shard int) mem.Addr {
 }
 
 func TestDistReportsProtocol(t *testing.T) {
-	if p := newEnv(t, 2, distParams(), nil).m.Protocol(); p != DistributedManager {
+	if p := newEnv(t, 2, distParams()).m.Protocol(); p != DistributedManager {
 		t.Fatalf("dist params protocol = %v", p)
 	}
 }
@@ -38,7 +38,7 @@ func TestDistReportsProtocol(t *testing.T) {
 // TestDistFirstTouchAtAnchorIsLocal: a page's first touch by its own anchor
 // shard resolves entirely in that shard's directory slice — no messages.
 func TestDistFirstTouchAtAnchorIsLocal(t *testing.T) {
-	e := newEnv(t, 3, distParams(), nil)
+	e := newEnv(t, 3, distParams())
 	addr := addrAnchoredAt(t, e.m, 1)
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		before := e.net.Stats().SmallSends
@@ -58,7 +58,7 @@ func TestDistFirstTouchAtAnchorIsLocal(t *testing.T) {
 // (the writer IS the home), and the old shard keeps only a forwarding
 // pointer at the new location.
 func TestDistAuthorityFollowsWriter(t *testing.T) {
-	e := newEnv(t, 3, distParams(), nil)
+	e := newEnv(t, 3, distParams())
 	vpn := testAddr.VPN()
 	anchor := e.m.shardOf(vpn)
 	writer := (anchor + 1) % 3
@@ -86,7 +86,7 @@ func TestDistAuthorityFollowsWriter(t *testing.T) {
 // forwarded to the authoritative shard, served there, and the reader must
 // come away with a repaired hint.
 func TestDistRedirectServesAcrossChain(t *testing.T) {
-	e := newEnv(t, 4, distParams(), nil)
+	e := newEnv(t, 4, distParams())
 	vpn := testAddr.VPN()
 	anchor := e.m.shardOf(vpn)
 	writer := (anchor + 1) % 4
@@ -123,7 +123,7 @@ func TestDistRedirectServesAcrossChain(t *testing.T) {
 // most one hop.
 func TestDistChainCompression(t *testing.T) {
 	const nodes = 5
-	e := newEnv(t, nodes, distParams(), nil)
+	e := newEnv(t, nodes, distParams())
 	addr := addrAnchoredAt(t, e.m, 0)
 	vpn := addr.VPN()
 	settle := func(tk *sim.Task) { tk.Sleep(300 * time.Microsecond) }
@@ -213,7 +213,7 @@ func TestDistSpreadsDirectoryLoad(t *testing.T) {
 	const nodes = 4
 	const pages = 160
 	run := func(params Params) Stats {
-		e := newEnv(t, nodes, params, nil)
+		e := newEnv(t, nodes, params)
 		e.eng.Spawn("main", func(tk *sim.Task) {
 			for i := 0; i < pages; i++ {
 				addr := mem.Addr(0x40000000 + i*mem.PageSize)
@@ -242,7 +242,7 @@ func TestDistSpreadsDirectoryLoad(t *testing.T) {
 // directory; with the directory sharded it must degrade to a no-op, and
 // demand faulting must still produce the bytes.
 func TestDistPrefetchDisabled(t *testing.T) {
-	e := newEnv(t, 3, distParams(), nil)
+	e := newEnv(t, 3, distParams())
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 7)
 		n, err := e.m.Prefetch(tk, Ctx{Node: 2}, prefetchVPNs(testAddr, 2))
@@ -264,7 +264,7 @@ func TestDistPrefetchDisabled(t *testing.T) {
 // the global invariants (including single-shard hosting) hold at quiescence.
 func TestDistSequentialRandomOps(t *testing.T) {
 	const nodes = 4
-	e := newEnv(t, nodes, distParams(), nil)
+	e := newEnv(t, nodes, distParams())
 	rng := rand.New(rand.NewSource(99))
 	ref := make(map[mem.Addr]byte)
 	e.eng.Spawn("driver", func(tk *sim.Task) {
@@ -294,7 +294,7 @@ func TestDistConcurrentInvariants(t *testing.T) {
 	const nodes = 4
 	for seed := int64(1); seed <= 3; seed++ {
 		p := distParams()
-		e := newEnvSeed(t, nodes, p, nil, seed)
+		e := newEnvSeed(t, nodes, p, seed)
 		rng := rand.New(rand.NewSource(seed * 7))
 		for w := 0; w < 12; w++ {
 			node := w % nodes

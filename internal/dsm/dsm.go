@@ -45,29 +45,6 @@ import (
 	"dex/internal/sim"
 )
 
-// Kind classifies a consistency-protocol event for profiling.
-type Kind int
-
-// Fault kinds, matching the paper's trace tuple (read/write/invalidate).
-const (
-	KindRead Kind = iota + 1
-	KindWrite
-	KindInvalidate
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindRead:
-		return "read"
-	case KindWrite:
-		return "write"
-	case KindInvalidate:
-		return "invalidate"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Params holds the software-cost model and protocol switches.
 type Params struct {
 	// FaultEntry is the cost of trapping into the fault handler and
@@ -106,8 +83,6 @@ type Params struct {
 	// AlwaysSendData disables ownership-only grants (ablation A4): page
 	// data is resent even when the requester's copy is fresh.
 	AlwaysSendData bool
-	// RecordLatency keeps a per-fault latency sample (for §V-D analysis).
-	RecordLatency bool
 }
 
 // DefaultParams returns the software-cost model calibrated so that an
@@ -128,21 +103,15 @@ func DefaultParams() Params {
 	}
 }
 
-// FaultEvent is the profiler-visible record of one consistency event,
-// mirroring the paper's trace tuple (§IV-A).
-type FaultEvent struct {
-	Time    time.Duration
-	Node    int
-	Task    int
-	Kind    Kind
-	Site    string
-	Addr    mem.Addr
-	Latency time.Duration
-	Retries int
-}
-
-// Hook receives fault events as they complete.
-type Hook func(FaultEvent)
+// Names of the fault-stream spans (category "dsm") the recorder receives,
+// the paper's §IV-A trace tuple: one span per completed lead fault, carrying
+// addr, retries and site args, and one instant marker per applied
+// invalidation, carrying addr. The page-fault profiler reads them back.
+const (
+	SpanFaultRead  = "fault.read"
+	SpanFaultWrite = "fault.write"
+	SpanInvalidate = "invalidate"
+)
 
 // Ctx identifies the faulting context for accounting and profiling.
 type Ctx struct {
@@ -259,10 +228,6 @@ type nodeState struct {
 	// sweepBudget counts down dedup admissions on this node's lane; when it
 	// hits zero a global watermark sweep is scheduled (engine.admitted).
 	sweepBudget int
-	// latencies holds this node's per-fault latency samples (when
-	// Params.RecordLatency is set). Kept per node so requester lanes append
-	// without synchronization; Latencies() concatenates in node order.
-	latencies []time.Duration
 
 	// homeHint is this node's believed home per page under the HomeMigrate
 	// policy (nil otherwise); absent means the origin. Hints are repaired
@@ -351,7 +316,6 @@ type Manager struct {
 	origin int
 	nodes  []*nodeState
 	dir    radix.Tree[*dirEntry]
-	hook   Hook
 	stats  dsmStats
 
 	// views caches one lane view of the engine per node (plus the root
@@ -382,7 +346,7 @@ type Manager struct {
 	chaos *chaos.Injector
 
 	// rec is the observability recorder; nil (the default) disables every
-	// interior span with a single branch, like the hook.
+	// span with a single branch.
 	rec *obs.Recorder
 	// inflight counts lead faults currently inside the protocol; the
 	// sampler exposes it as a gauge. Faults enter from any node lane.
@@ -403,8 +367,8 @@ type revokeWaiter struct {
 }
 
 // New creates a protocol manager for process pid whose origin is the given
-// node. hook may be nil.
-func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes int, hook Hook) *Manager {
+// node.
+func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes int) *Manager {
 	if nodes > 64 {
 		panic("dsm: at most 64 nodes (ownership bitmask)")
 	}
@@ -417,7 +381,6 @@ func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes
 		params: params,
 		pid:    pid,
 		origin: origin,
-		hook:   hook,
 		chaos:  net.Chaos(),
 		nodes:  make([]*nodeState, nodes),
 		views:  make([]*sim.Engine, nodes),
@@ -449,9 +412,10 @@ func (m *Manager) view(node int) *sim.Engine { return m.views[node] }
 // pool returns node's frame free list.
 func (m *Manager) pool(node int) *mem.FramePool { return &m.pools[node] }
 
-// SetRecorder attaches the observability recorder for interior protocol
-// spans (ownership requests, PTE installs, revocations). The fault-level
-// span and histograms ride the hook (ObsFaultHook).
+// SetRecorder attaches the observability recorder. It receives the fault
+// stream the §IV-A profiler analyses (SpanFaultRead, SpanFaultWrite and
+// SpanInvalidate spans plus per-kind latency histograms) and the interior
+// protocol spans (ownership requests, PTE installs, revocations).
 func (m *Manager) SetRecorder(rec *obs.Recorder) { m.rec = rec }
 
 // InFlightFaults returns the number of lead faults currently being handled
@@ -491,26 +455,6 @@ func (m *Manager) Stats() Stats {
 		DirRebuilt:      m.stats.dirRebuilt.Load(),
 		TotalLatency:    time.Duration(m.stats.totalLatency.Load()),
 	}
-}
-
-// Latencies returns a copy of the recorded per-fault latencies (empty
-// unless Params.RecordLatency is set), concatenated in node order. Callers
-// get their own slice: the manager keeps appending to its per-node ones as
-// faults complete, and handing those out by reference would let callers
-// corrupt the accounting.
-func (m *Manager) Latencies() []time.Duration {
-	n := 0
-	for _, ns := range m.nodes {
-		n += len(ns.latencies)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]time.Duration, 0, n)
-	for _, ns := range m.nodes {
-		out = append(out, ns.latencies...)
-	}
-	return out
 }
 
 // PageTable exposes a node's page table (used by the execution layer for
@@ -619,35 +563,27 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 }
 
 func (m *Manager) recordFault(ctx Ctx, addr mem.Addr, write bool, latency time.Duration, retries int) {
+	name := SpanFaultRead
 	if write {
+		name = SpanFaultWrite
 		m.stats.writeFaults.Add(1)
 	} else {
 		m.stats.readFaults.Add(1)
 	}
 	m.stats.totalLatency.Add(int64(latency))
-	if m.params.RecordLatency {
-		ns := m.nodes[ctx.Node]
-		ns.latencies = append(ns.latencies, latency)
+	if m.rec == nil {
+		return
 	}
-	if m.hook != nil {
-		kind := KindRead
-		if write {
-			kind = KindWrite
-		}
-		// The faulting node's lane clock, not the root engine's: during a
-		// parallel window the root view reads the stale committed clock, and
-		// the hook's span timestamps must not depend on the core count.
-		m.hook(FaultEvent{
-			Time:    m.view(ctx.Node).Now(),
-			Node:    ctx.Node,
-			Task:    ctx.Task,
-			Kind:    kind,
-			Site:    ctx.Site,
-			Addr:    addr,
-			Latency: latency,
-			Retries: retries,
-		})
-	}
+	// The span covers trap entry to PTE install. It is recorded through the
+	// faulting node's lane and ends at that lane's clock, not the root
+	// engine's: during a parallel window the root view reads the stale
+	// committed clock, and span timestamps must not depend on the core count.
+	lr := m.rec.OnLane(ctx.Node)
+	lr.SpanAt("dsm", name, ctx.Node, ctx.Task, m.view(ctx.Node).Now()-latency, latency,
+		obs.Hex("addr", uint64(addr)),
+		obs.Int("retries", int64(retries)),
+		obs.String("site", ctx.Site))
+	lr.Observe(name, latency)
 }
 
 // backoff sleeps t before retrying a NACKed request. node is the faulting
@@ -1162,15 +1098,11 @@ func (m *Manager) dropDirectoryRangeDist(t *sim.Task, lo, hi uint64) error {
 }
 
 func (m *Manager) emitInvalidate(node int, vpn uint64) {
-	if m.hook != nil {
-		// Invalidations are applied on node's lane; stamp with its lane clock
-		// so the event time is identical at any core count.
-		m.hook(FaultEvent{
-			Time: m.view(node).Now(),
-			Node: node,
-			Task: -1,
-			Kind: KindInvalidate,
-			Addr: mem.Addr(vpn << mem.PageShift),
-		})
+	if m.rec == nil {
+		return
 	}
+	// Invalidations are applied on node's lane; stamp the instant marker
+	// with its lane clock so the event time is identical at any core count.
+	m.rec.OnLane(node).SpanAt("dsm", SpanInvalidate, node, -1, m.view(node).Now(), 0,
+		obs.Hex("addr", vpn<<mem.PageShift))
 }

@@ -2,11 +2,13 @@ package dsm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"dex/internal/fabric"
 	"dex/internal/mem"
+	"dex/internal/obs"
 	"dex/internal/sim"
 )
 
@@ -16,16 +18,16 @@ type env struct {
 	m   *Manager
 }
 
-func newEnv(t *testing.T, nodes int, params Params, hook Hook) *env {
+func newEnv(t *testing.T, nodes int, params Params) *env {
 	t.Helper()
-	return newEnvSeed(t, nodes, params, hook, 1)
+	return newEnvSeed(t, nodes, params, 1)
 }
 
-func newEnvSeed(t *testing.T, nodes int, params Params, hook Hook, seed int64) *env {
+func newEnvSeed(t *testing.T, nodes int, params Params, seed int64) *env {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	net := fabric.New(eng, fabric.DefaultParams(nodes))
-	m := New(eng, net, params, 1, 0, nodes, hook)
+	m := New(eng, net, params, 1, 0, nodes)
 	for i := 0; i < nodes; i++ {
 		node := i
 		net.SetHandler(node, func(src int, msg fabric.Message) {
@@ -47,6 +49,26 @@ func (e *env) run(t *testing.T) {
 	}
 }
 
+// record attaches a recorder bound to the engine clock, the only sink of
+// the manager's fault stream.
+func (e *env) record() *obs.Recorder {
+	rec := obs.NewRecorder()
+	rec.SetClock(e.eng.Now)
+	e.m.SetRecorder(rec)
+	return rec
+}
+
+// faultSpans returns the completed-fault spans (reads and writes) rec holds.
+func faultSpans(rec *obs.Recorder) []obs.Span {
+	var out []obs.Span
+	for _, sp := range rec.Spans() {
+		if sp.Cat == "dsm" && (sp.Name == SpanFaultRead || sp.Name == SpanFaultWrite) {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
 func (e *env) write(t *sim.Task, node int, addr mem.Addr, val byte) {
 	pte := e.m.EnsurePage(t, Ctx{Node: node, Site: "test"}, addr, true)
 	pte.Frame[addr.PageOff()] = val
@@ -60,7 +82,7 @@ func (e *env) read(t *sim.Task, node int, addr mem.Addr) byte {
 const testAddr = mem.Addr(0x40000000)
 
 func TestRemoteReadSeesOriginData(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	var got byte
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 42) // first touch at origin
@@ -87,7 +109,7 @@ func TestRemoteReadSeesOriginData(t *testing.T) {
 }
 
 func TestRemoteWriteInvalidatesOrigin(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	var back byte
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 7)
@@ -111,7 +133,7 @@ func TestRemoteWriteInvalidatesOrigin(t *testing.T) {
 }
 
 func TestOwnershipOnlyGrantOnUpgrade(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 5)
 		_ = e.read(tk, 1, testAddr) // node 1 gets a shared copy
@@ -130,7 +152,7 @@ func TestOwnershipOnlyGrantOnUpgrade(t *testing.T) {
 func TestAlwaysSendDataAblation(t *testing.T) {
 	p := DefaultParams()
 	p.AlwaysSendData = true
-	e := newEnv(t, 2, p, nil)
+	e := newEnv(t, 2, p)
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 5)
 		_ = e.read(tk, 1, testAddr)
@@ -143,7 +165,7 @@ func TestAlwaysSendDataAblation(t *testing.T) {
 }
 
 func TestThirdNodeTransfer(t *testing.T) {
-	e := newEnv(t, 3, DefaultParams(), nil)
+	e := newEnv(t, 3, DefaultParams())
 	var got byte
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 1, testAddr, 123) // node 1 exclusive
@@ -165,7 +187,7 @@ func TestThirdNodeTransfer(t *testing.T) {
 }
 
 func TestUncontendedRemoteFaultLatency(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	var lat time.Duration
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 1)
@@ -181,7 +203,7 @@ func TestUncontendedRemoteFaultLatency(t *testing.T) {
 }
 
 func TestLeaderFollowerCoalescing(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	const threads = 8
 	e.eng.Spawn("setup", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 9)
@@ -208,7 +230,7 @@ func TestLeaderFollowerCoalescing(t *testing.T) {
 // stray futex wake delivered as an Unpark token), and re-parks on the same
 // group must count as ONE follower join, not one per park.
 func TestFollowerJoinCountedOncePerGroup(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	var follower *sim.Task
 	e.eng.Spawn("setup", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 9)
@@ -243,7 +265,7 @@ func TestFollowerJoinCountedOncePerGroup(t *testing.T) {
 func TestCoalescingDisabledAblation(t *testing.T) {
 	p := DefaultParams()
 	p.DisableCoalescing = true
-	e := newEnv(t, 2, p, nil)
+	e := newEnv(t, 2, p)
 	const threads = 8
 	e.eng.Spawn("setup", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 9)
@@ -266,9 +288,8 @@ func TestCoalescingDisabledAblation(t *testing.T) {
 }
 
 func TestWritePingPongProducesRetriesAndBimodalLatency(t *testing.T) {
-	p := DefaultParams()
-	p.RecordLatency = true
-	e := newEnv(t, 2, p, nil)
+	e := newEnv(t, 2, DefaultParams())
+	rec := e.record()
 	const iters = 120
 	for n := 0; n < 2; n++ {
 		node := n
@@ -288,8 +309,8 @@ func TestWritePingPongProducesRetriesAndBimodalLatency(t *testing.T) {
 		t.Fatalf("expected NACK retries under ping-pong, stats = %+v", st)
 	}
 	var fast, slow int
-	for _, l := range e.m.Latencies() {
-		if l < 40*time.Microsecond {
+	for _, sp := range faultSpans(rec) {
+		if sp.Dur < 40*time.Microsecond {
 			fast++
 		} else {
 			slow++
@@ -300,9 +321,62 @@ func TestWritePingPongProducesRetriesAndBimodalLatency(t *testing.T) {
 	}
 }
 
+// TestTotalLatencyMatchesFaultSpans: under every policy the recorder holds
+// one fault span per counted fault, and their durations sum to
+// Stats.TotalLatency. Recording does not perturb the run.
+func TestTotalLatencyMatchesFaultSpans(t *testing.T) {
+	for _, proto := range []Protocol{WriteInvalidate, HomeMigrate, DistributedManager} {
+		p := DefaultParams()
+		p.Protocol = proto
+		run := func(rec bool) (Stats, *obs.Recorder) {
+			e := newEnv(t, 3, p)
+			var r *obs.Recorder
+			if rec {
+				r = e.record()
+			}
+			for n := 0; n < 3; n++ {
+				node := n
+				e.eng.Spawn("worker", func(tk *sim.Task) {
+					for i := 0; i < 40; i++ {
+						addr := testAddr + mem.Addr((i%3)*mem.PageSize)
+						v := e.read(tk, node, addr)
+						if node < 2 {
+							e.write(tk, node, addr, v+1)
+						}
+						tk.Sleep(3 * time.Microsecond)
+					}
+				})
+			}
+			e.run(t)
+			return e.m.Stats(), r
+		}
+		plain, _ := run(false)
+		st, rec := run(true)
+		if st != plain {
+			t.Fatalf("%v: recording changed the run:\nplain:    %+v\nrecorded: %+v", proto, plain, st)
+		}
+		if st.TotalLatency == 0 {
+			t.Fatalf("%v: TotalLatency not aggregated", proto)
+		}
+		spans := faultSpans(rec)
+		var sum time.Duration
+		for _, sp := range spans {
+			sum += sp.Dur
+		}
+		if uint64(len(spans)) != st.ReadFaults+st.WriteFaults || sum != st.TotalLatency {
+			t.Fatalf("%v: %d fault spans summing to %v, stats count %d faults totalling %v",
+				proto, len(spans), sum, st.ReadFaults+st.WriteFaults, st.TotalLatency)
+		}
+	}
+}
+
+// TestProfilerHookReceivesEvents: the recorder's fault spans, the page-fault
+// profiler's input, carry the paper's §IV-A tuple — node, task, site,
+// address, latency — for every read and write fault, plus an invalidation
+// marker per revoked copy.
 func TestProfilerHookReceivesEvents(t *testing.T) {
-	var events []FaultEvent
-	e := newEnv(t, 2, DefaultParams(), func(ev FaultEvent) { events = append(events, ev) })
+	e := newEnv(t, 2, DefaultParams())
+	rec := e.record()
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		pte := e.m.EnsurePage(tk, Ctx{Node: 0, Task: 3, Site: "init"}, testAddr, true)
 		pte.Frame[0] = 1
@@ -312,21 +386,29 @@ func TestProfilerHookReceivesEvents(t *testing.T) {
 		pte.Frame[0] = 2
 	})
 	e.run(t)
+	addr := obs.Hex("addr", uint64(testAddr))
 	var reads, writes, invals int
-	for _, ev := range events {
-		switch ev.Kind {
-		case KindRead:
+	for _, sp := range rec.Spans() {
+		if sp.Cat != "dsm" {
+			continue
+		}
+		switch sp.Name {
+		case SpanFaultRead:
 			reads++
-			if ev.Site != "reader" || ev.Node != 1 || ev.Task != 7 {
-				t.Errorf("bad read event: %+v", ev)
+			want := []obs.Arg{addr, obs.Int("retries", 0), obs.String("site", "reader")}
+			if sp.Node != 1 || sp.Task != 7 || !reflect.DeepEqual(sp.Args, want) {
+				t.Errorf("bad read span: %+v", sp)
 			}
-			if ev.Latency <= 0 {
-				t.Errorf("read event missing latency: %+v", ev)
+			if sp.Dur <= 0 {
+				t.Errorf("read span missing latency: %+v", sp)
 			}
-		case KindWrite:
+		case SpanFaultWrite:
 			writes++
-		case KindInvalidate:
+		case SpanInvalidate:
 			invals++
+			if sp.Task != -1 || sp.Dur != 0 || !reflect.DeepEqual(sp.Args, []obs.Arg{addr}) {
+				t.Errorf("bad invalidation span: %+v", sp)
+			}
 		}
 	}
 	if reads != 1 || writes != 1 || invals == 0 {
@@ -339,7 +421,7 @@ func TestProfilerHookReceivesEvents(t *testing.T) {
 // the most recent write (sequential consistency under a serial history).
 func TestSequentialRandomOpsDataCorrect(t *testing.T) {
 	const nodes = 4
-	e := newEnv(t, nodes, DefaultParams(), nil)
+	e := newEnv(t, nodes, DefaultParams())
 	rng := rand.New(rand.NewSource(99))
 	ref := make(map[mem.Addr]byte)
 	e.eng.Spawn("driver", func(tk *sim.Task) {
@@ -368,7 +450,7 @@ func TestSequentialRandomOpsDataCorrect(t *testing.T) {
 func TestConcurrentChaosInvariants(t *testing.T) {
 	const nodes = 4
 	for seed := int64(1); seed <= 3; seed++ {
-		e := newEnvSeed(t, nodes, DefaultParams(), nil, seed)
+		e := newEnvSeed(t, nodes, DefaultParams(), seed)
 		rng := rand.New(rand.NewSource(seed * 7))
 		for w := 0; w < 12; w++ {
 			node := w % nodes
@@ -397,7 +479,7 @@ func TestConcurrentChaosInvariants(t *testing.T) {
 
 func TestDeterministicStats(t *testing.T) {
 	run := func() Stats {
-		e := newEnvSeed(t, 3, DefaultParams(), nil, 5)
+		e := newEnvSeed(t, 3, DefaultParams(), 5)
 		for n := 0; n < 3; n++ {
 			node := n
 			e.eng.Spawn("w", func(tk *sim.Task) {
@@ -418,7 +500,7 @@ func TestDeterministicStats(t *testing.T) {
 
 func TestManyPagesManyNodes(t *testing.T) {
 	const nodes = 8
-	e := newEnv(t, nodes, DefaultParams(), nil)
+	e := newEnv(t, nodes, DefaultParams())
 	const pages = 16
 	// Each node writes its own page slice, then reads everyone else's.
 	done := 0

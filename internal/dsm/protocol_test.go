@@ -61,10 +61,10 @@ func TestProtocolRegistryDrivesHelp(t *testing.T) {
 }
 
 func TestManagerReportsProtocol(t *testing.T) {
-	if p := newEnv(t, 2, DefaultParams(), nil).m.Protocol(); p != WriteInvalidate {
+	if p := newEnv(t, 2, DefaultParams()).m.Protocol(); p != WriteInvalidate {
 		t.Fatalf("default protocol = %v", p)
 	}
-	if p := newEnv(t, 2, homeParams(), nil).m.Protocol(); p != HomeMigrate {
+	if p := newEnv(t, 2, homeParams()).m.Protocol(); p != HomeMigrate {
 		t.Fatalf("home params protocol = %v", p)
 	}
 }
@@ -73,7 +73,7 @@ func TestManagerReportsProtocol(t *testing.T) {
 // remote node takes a page exclusively, the directory home is that node, and
 // the old home holds a hint pointing at it.
 func TestHomeMigrateFollowsWriter(t *testing.T) {
-	e := newEnv(t, 3, homeParams(), nil)
+	e := newEnv(t, 3, homeParams())
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 1, testAddr, 42)
 	})
@@ -95,7 +95,7 @@ func TestHomeMigrateFollowsWriter(t *testing.T) {
 // the reader must land at the real home, read the right data, and come away
 // with a repaired hint.
 func TestHomeMigrateRedirectRepairsStaleHint(t *testing.T) {
-	e := newEnv(t, 3, homeParams(), nil)
+	e := newEnv(t, 3, homeParams())
 	var got byte
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 1, testAddr, 42) // home migrates to node 1
@@ -118,7 +118,7 @@ func TestHomeMigrateRedirectRepairsStaleHint(t *testing.T) {
 // that node's repeated faults on its pages resolve through the local
 // directory with no request messages at all.
 func TestHomeMigrateWriterLocalFaults(t *testing.T) {
-	e := newEnv(t, 2, homeParams(), nil)
+	e := newEnv(t, 2, homeParams())
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 1, testAddr, 1) // home moves to node 1
 		_ = e.read(tk, 0, testAddr) // origin takes a shared copy back
@@ -138,7 +138,7 @@ func TestHomeMigrateWriterLocalFaults(t *testing.T) {
 // time.
 func pingPong(t *testing.T, params Params, iters int) (Stats, fabric.Stats, time.Duration) {
 	t.Helper()
-	e := newEnv(t, 3, params, nil)
+	e := newEnv(t, 3, params)
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		for i := 0; i < iters; i++ {
 			e.write(tk, 1+i%2, testAddr, byte(i))
@@ -176,7 +176,7 @@ func TestHomeMigrateCutsOriginTraffic(t *testing.T) {
 // and the global invariants hold at quiescence.
 func TestHomeMigrateSequentialRandomOps(t *testing.T) {
 	const nodes = 4
-	e := newEnv(t, nodes, homeParams(), nil)
+	e := newEnv(t, nodes, homeParams())
 	rng := rand.New(rand.NewSource(99))
 	ref := make(map[mem.Addr]byte)
 	e.eng.Spawn("driver", func(tk *sim.Task) {
@@ -206,7 +206,7 @@ func TestHomeMigrateConcurrentInvariants(t *testing.T) {
 	const nodes = 4
 	for seed := int64(1); seed <= 3; seed++ {
 		p := homeParams()
-		e := newEnvSeed(t, nodes, p, nil, seed)
+		e := newEnvSeed(t, nodes, p, seed)
 		rng := rand.New(rand.NewSource(seed * 7))
 		for w := 0; w < 12; w++ {
 			node := w % nodes
@@ -237,7 +237,7 @@ func TestHomeMigrateConcurrentInvariants(t *testing.T) {
 // served by the origin, which cannot speak for pages whose home moved away;
 // those must bounce (best effort) and demand faulting must still work.
 func TestHomeMigratePrefetchBounce(t *testing.T) {
-	e := newEnv(t, 3, homeParams(), nil)
+	e := newEnv(t, 3, homeParams())
 	addrB := testAddr + mem.Addr(mem.PageSize)
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 7) // stays home at the origin
@@ -267,33 +267,7 @@ func TestHomeMigrateAcceptsChaos(t *testing.T) {
 		Seed: 1,
 		Drop: []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.1}},
 	}, 2))
-	if _, panicked := panics(func() { New(eng, net, homeParams(), 1, 0, 2, nil) }); panicked {
+	if _, panicked := panics(func() { New(eng, net, homeParams(), 1, 0, 2) }); panicked {
 		t.Fatal("New rejected home-migrate with a chaos injector attached")
-	}
-}
-
-// TestLatenciesReturnsCopy: the recorded-latency slice handed to callers
-// must be a snapshot — mutating it or appending to it must not corrupt (or
-// observe) the manager's internal accounting.
-func TestLatenciesReturnsCopy(t *testing.T) {
-	p := DefaultParams()
-	p.RecordLatency = true
-	e := newEnv(t, 2, p, nil)
-	e.eng.Spawn("main", func(tk *sim.Task) {
-		e.write(tk, 0, testAddr, 1)
-		_ = e.read(tk, 1, testAddr)
-		e.write(tk, 1, testAddr, 2)
-	})
-	e.run(t)
-	got := e.m.Latencies()
-	if len(got) == 0 {
-		t.Fatal("no latencies recorded")
-	}
-	got[0] = -1
-	if again := e.m.Latencies(); again[0] == -1 {
-		t.Fatal("Latencies returned the internal slice, not a copy")
-	}
-	if e.m.Latencies() == nil {
-		t.Fatal("second call lost the samples")
 	}
 }

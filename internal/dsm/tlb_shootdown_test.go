@@ -17,7 +17,7 @@ import (
 // invalidations triggered by writes at another. Each round the reader's
 // replica is revoked; a stale TLB entry would hand back the old frame.
 func TestTLBShootdownOnRemoteWrite(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	vpn := testAddr.VPN()
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		for round := byte(1); round <= 5; round++ {
@@ -59,7 +59,7 @@ func TestTLBShootdownOnRemoteWrite(t *testing.T) {
 // take the fault path and re-acquire exclusivity — never sneak through the
 // stale writable TLB entry.
 func TestTLBWriteAfterDowngradeDSM(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	vpn := testAddr.VPN()
 	var faultsBefore, faultsAfter uint64
 	e.eng.Spawn("main", func(tk *sim.Task) {
@@ -95,7 +95,7 @@ func TestTLBWriteAfterDowngradeDSM(t *testing.T) {
 // in the TLB at a remote node are reclaimed in bulk; every lookup must miss
 // afterwards and the frames must land in the free pool.
 func TestTLBShootdownOnReclaimRange(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
+	e := newEnv(t, 2, DefaultParams())
 	base := testAddr
 	const pages = 6
 	e.eng.Spawn("main", func(tk *sim.Task) {

@@ -4,13 +4,15 @@
 // and ordered key/value arguments — for the lifecycle of the three macro
 // operations (fault handling, thread migration, fabric messages), plus
 // log-bucketed latency histograms and a periodic time-series of gauges
-// (resident pages, TLB hit rate, in-flight faults).
+// (resident pages, TLB hit rate, in-flight faults). The recorder is the one
+// sink of the DSM fault stream: the page-fault profiler (internal/profile)
+// reads its fault.read, fault.write and invalidate spans back.
 //
 // Design rules:
 //
 //   - Zero overhead when disabled. A nil *Recorder is a valid recorder whose
 //     methods do nothing; instrumentation points guard with a single
-//     `if rec != nil` branch, the same pattern as dsm.Hook.
+//     `if rec != nil` branch.
 //   - Simulated clocks only. Every timestamp comes from the engine's virtual
 //     clock (bound per lane with SetLaneClock, or SetClock for unsharded
 //     use); wall time never enters the record, so traces are bit-for-bit

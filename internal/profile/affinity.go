@@ -3,7 +3,6 @@ package profile
 import (
 	"sort"
 
-	"dex/internal/dsm"
 	"dex/internal/mem"
 )
 
@@ -68,13 +67,13 @@ func (tr *Trace) CorrelatedSites(n int) []SitePair {
 		page := ev.Addr.PageBase()
 		k := siteOnPage{site: ev.Site, page: page}
 		switch ev.Kind {
-		case dsm.KindWrite:
+		case KindWrite:
 			writeCounts[k]++
 			if pageWriters[page] == nil {
 				pageWriters[page] = make(map[string]struct{})
 			}
 			pageWriters[page][ev.Site] = struct{}{}
-		case dsm.KindRead:
+		case KindRead:
 			readCounts[k]++
 			if pageReaders[page] == nil {
 				pageReaders[page] = make(map[string]struct{})
@@ -129,13 +128,16 @@ func (tr *Trace) CorrelatedSites(n int) []SitePair {
 // of its working set (when that differs from where the thread ran). A
 // page's producer is the node with the most write faults on it.
 //
-// Suggestions are ordered by potential benefit (ReadFaults descending).
+// Suggestions are ordered by potential benefit (ReadFaults descending),
+// then by Task and From: a thread that migrated gets one suggestion per node
+// it faulted from, and the full key keeps the order independent of the
+// order events arrived in.
 func (tr *Trace) AffinitySuggestions(minFaults int) []Suggestion {
 	// Producer per page: the node that write-faults it most.
 	type wcount map[int]int
 	writers := make(map[mem.Addr]wcount)
 	for _, ev := range tr.events {
-		if ev.Kind != dsm.KindWrite {
+		if ev.Kind != KindWrite {
 			continue
 		}
 		page := ev.Addr.PageBase()
@@ -160,7 +162,7 @@ func (tr *Trace) AffinitySuggestions(minFaults int) []Suggestion {
 	totals := make(map[key]int)
 	var order []key
 	for _, ev := range tr.events {
-		if ev.Kind != dsm.KindRead {
+		if ev.Kind != KindRead {
 			continue
 		}
 		prod, ok := producer[ev.Addr.PageBase()]
@@ -198,7 +200,10 @@ func (tr *Trace) AffinitySuggestions(minFaults int) []Suggestion {
 		if out[i].ReadFaults != out[j].ReadFaults {
 			return out[i].ReadFaults > out[j].ReadFaults
 		}
-		return out[i].Task < out[j].Task
+		if out[i].Task != out[j].Task {
+			return out[i].Task < out[j].Task
+		}
+		return out[i].From < out[j].From
 	})
 	return out
 }

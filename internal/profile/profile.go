@@ -1,63 +1,105 @@
 // Package profile implements DeX's page-fault profiling tool (§IV-A of the
-// paper). It records a trace of every page fault the memory consistency
-// protocol handles — time, node, task, fault type, program site, faulting
-// address — and post-processes it into the analyses the paper describes:
-// the program objects and source locations causing the most faults, fault
-// frequency over time, per-thread access patterns, and per-page contention.
+// paper). Its input is the fault stream the consistency protocol records
+// into the observability recorder: one tuple per consistency event — time,
+// node, task, event kind, program site, faulting address. It post-processes
+// that trace into the analyses the paper describes: the program objects and
+// source locations causing the most faults, fault frequency over time,
+// per-thread access patterns, and per-page contention. Every analysis is a
+// function of the event multiset, so the order spans arrive in never
+// changes a result.
 package profile
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"dex/internal/dsm"
 	"dex/internal/mem"
+	"dex/internal/obs"
 )
 
-// Trace accumulates fault events from a run.
-type Trace struct {
-	events  []dsm.FaultEvent
-	labeler func(mem.Addr) string
-	cap     int
-	dropped uint64
+// Kind classifies a consistency event.
+type Kind int
+
+// Event kinds, matching the paper's trace tuple (read/write/invalidate).
+const (
+	KindRead Kind = iota + 1
+	KindWrite
+	KindInvalidate
+)
+
+// Event is one consistency event, the paper's trace tuple (§IV-A). Time is
+// when the event completed and Latency how long the fault took; both are 0
+// for invalidations.
+type Event struct {
+	Time    time.Duration
+	Node    int
+	Task    int
+	Kind    Kind
+	Site    string
+	Addr    mem.Addr
+	Latency time.Duration
+	Retries int
 }
 
-// NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{} }
+// Trace is the decoded fault stream of a run.
+type Trace struct {
+	events  []Event
+	labeler func(mem.Addr) string
+}
 
-// SetCap bounds the trace to at most n events; once full, further events
-// are counted in Dropped instead of retained. n <= 0 means unbounded (the
-// default). Long-running simulations produce millions of fault events, and
-// an unbounded trace is the process's largest allocation — the cap keeps
-// the profiler usable as an always-on sampler of the run's prefix.
-func (tr *Trace) SetCap(n int) { tr.cap = n }
-
-// Dropped reports how many events were discarded because the trace was at
-// its cap.
-func (tr *Trace) Dropped() uint64 { return tr.dropped }
-
-// Hook returns the dsm.Hook that records into this trace; install it as the
-// cluster's fault hook.
-func (tr *Trace) Hook() dsm.Hook {
-	return func(ev dsm.FaultEvent) {
-		if tr.cap > 0 && len(tr.events) >= tr.cap {
-			tr.dropped++
-			return
+// NewTrace decodes the fault-stream spans among spans (category "dsm",
+// named dsm.SpanFaultRead, dsm.SpanFaultWrite or dsm.SpanInvalidate) into a
+// trace and ignores every other span. A fault span ends when the fault
+// completes and lasts its latency; its addr, retries and site args carry the
+// rest of the tuple.
+func NewTrace(spans []obs.Span) *Trace {
+	tr := &Trace{}
+	for _, sp := range spans {
+		if sp.Cat != "dsm" {
+			continue
+		}
+		ev := Event{Time: sp.End(), Node: sp.Node, Task: sp.Task, Latency: sp.Dur}
+		switch sp.Name {
+		case dsm.SpanFaultRead:
+			ev.Kind = KindRead
+		case dsm.SpanFaultWrite:
+			ev.Kind = KindWrite
+		case dsm.SpanInvalidate:
+			ev.Kind = KindInvalidate
+		default:
+			continue
+		}
+		// The DSM layer formats these args itself (obs.Hex, obs.Int), so
+		// they always parse; a span without them decodes to zero values.
+		for _, a := range sp.Args {
+			switch a.Key {
+			case "addr":
+				addr, _ := strconv.ParseUint(strings.TrimPrefix(a.Val, "0x"), 16, 64)
+				ev.Addr = mem.Addr(addr)
+			case "retries":
+				ev.Retries, _ = strconv.Atoi(a.Val)
+			case "site":
+				ev.Site = a.Val
+			}
 		}
 		tr.events = append(tr.events, ev)
 	}
+	return tr
 }
 
 // SetLabeler installs a function resolving addresses to program-object
 // labels (typically the VMA label of the containing mapping).
 func (tr *Trace) SetLabeler(fn func(mem.Addr) string) { tr.labeler = fn }
 
-// Events returns the recorded events in order.
-func (tr *Trace) Events() []dsm.FaultEvent { return tr.events }
+// Events returns the decoded events in span order.
+func (tr *Trace) Events() []Event { return tr.events }
 
-// Len returns the number of recorded events.
+// Len returns the number of events.
 func (tr *Trace) Len() int { return len(tr.events) }
 
 func (tr *Trace) label(a mem.Addr) string {
@@ -81,7 +123,7 @@ type Count struct {
 // Total returns the total events for the key.
 func (c Count) Total() uint64 { return c.Reads + c.Writes + c.Invals }
 
-func accumulate(events []dsm.FaultEvent, key func(dsm.FaultEvent) string) []Count {
+func accumulate(events []Event, key func(Event) string) []Count {
 	idx := make(map[string]int)
 	var out []Count
 	for _, ev := range events {
@@ -93,11 +135,11 @@ func accumulate(events []dsm.FaultEvent, key func(dsm.FaultEvent) string) []Coun
 			out = append(out, Count{Key: k})
 		}
 		switch ev.Kind {
-		case dsm.KindRead:
+		case KindRead:
 			out[i].Reads++
-		case dsm.KindWrite:
+		case KindWrite:
 			out[i].Writes++
-		case dsm.KindInvalidate:
+		case KindInvalidate:
 			out[i].Invals++
 		}
 	}
@@ -119,7 +161,7 @@ func top(counts []Count, n int) []Count {
 
 // TopSites returns the program sites causing the most protocol events.
 func (tr *Trace) TopSites(n int) []Count {
-	return top(accumulate(tr.events, func(ev dsm.FaultEvent) string {
+	return top(accumulate(tr.events, func(ev Event) string {
 		if ev.Site == "" {
 			return "(kernel)"
 		}
@@ -130,7 +172,7 @@ func (tr *Trace) TopSites(n int) []Count {
 // TopRegions returns the program objects (labeled memory regions) causing
 // the most protocol events.
 func (tr *Trace) TopRegions(n int) []Count {
-	return top(accumulate(tr.events, func(ev dsm.FaultEvent) string {
+	return top(accumulate(tr.events, func(ev Event) string {
 		return tr.label(ev.Addr)
 	}), n)
 }
@@ -167,11 +209,11 @@ func (tr *Trace) TopPages(n int) []PageContention {
 		}
 		a.nodes[ev.Node] = struct{}{}
 		switch ev.Kind {
-		case dsm.KindRead:
+		case KindRead:
 			a.pc.Reads++
-		case dsm.KindWrite:
+		case KindWrite:
 			a.pc.Writes++
-		case dsm.KindInvalidate:
+		case KindInvalidate:
 			a.pc.Invals++
 		}
 	}
@@ -239,7 +281,7 @@ func (tr *Trace) PerThread() []ThreadPattern {
 	idx := make(map[key]*acc)
 	var order []key
 	for _, ev := range tr.events {
-		if ev.Kind == dsm.KindInvalidate {
+		if ev.Kind == KindInvalidate {
 			continue
 		}
 		k := key{ev.Node, ev.Task}
@@ -250,7 +292,7 @@ func (tr *Trace) PerThread() []ThreadPattern {
 			order = append(order, k)
 		}
 		a.pages[ev.Addr.PageBase()] = struct{}{}
-		if ev.Kind == dsm.KindRead {
+		if ev.Kind == KindRead {
 			a.tp.Reads++
 		} else {
 			a.tp.Writes++
@@ -294,11 +336,11 @@ func (tr *Trace) Summarize() Summary {
 	for _, ev := range tr.events {
 		s.Total++
 		switch ev.Kind {
-		case dsm.KindRead:
+		case KindRead:
 			s.Reads++
-		case dsm.KindWrite:
+		case KindWrite:
 			s.Writes++
-		case dsm.KindInvalidate:
+		case KindInvalidate:
 			s.Invals++
 			continue
 		}

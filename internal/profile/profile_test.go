@@ -1,35 +1,138 @@
 package profile
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"dex/internal/dsm"
 	"dex/internal/mem"
+	"dex/internal/obs"
 )
 
+// spanOf encodes ev as the span the DSM layer records for it.
+func spanOf(ev Event) obs.Span {
+	addr := obs.Hex("addr", uint64(ev.Addr))
+	switch ev.Kind {
+	case KindInvalidate:
+		return obs.Span{Cat: "dsm", Name: dsm.SpanInvalidate, Node: ev.Node, Task: ev.Task,
+			Start: ev.Time, Args: []obs.Arg{addr}}
+	case KindRead, KindWrite:
+		name := dsm.SpanFaultRead
+		if ev.Kind == KindWrite {
+			name = dsm.SpanFaultWrite
+		}
+		return obs.Span{Cat: "dsm", Name: name, Node: ev.Node, Task: ev.Task,
+			Start: ev.Time - ev.Latency, Dur: ev.Latency,
+			Args: []obs.Arg{addr, obs.Int("retries", int64(ev.Retries)), obs.String("site", ev.Site)}}
+	}
+	panic("unknown kind")
+}
+
+// traceOf builds a trace from events, as if a recorder had captured them.
+func traceOf(evs []Event) *Trace {
+	spans := make([]obs.Span, len(evs))
+	for i, ev := range evs {
+		spans[i] = spanOf(ev)
+	}
+	return NewTrace(spans)
+}
+
+func TestNewTraceDecodesFaultSpans(t *testing.T) {
+	evs := []Event{
+		{Time: 5 * time.Microsecond, Node: 1, Task: 4, Kind: KindRead, Site: "scan", Addr: 0x40000010, Latency: 3 * time.Microsecond},
+		{Time: 9 * time.Microsecond, Node: 0, Task: 2, Kind: KindWrite, Site: "update", Addr: 0x40001000, Latency: 8 * time.Microsecond, Retries: 2},
+		{Time: 7 * time.Microsecond, Node: 1, Task: -1, Kind: KindInvalidate, Addr: 0x40001000},
+	}
+	spans := []obs.Span{
+		spanOf(evs[0]),
+		{Cat: "dsm", Name: "fault.follower", Node: 1, Task: 4},
+		{Cat: "fabric", Name: dsm.SpanFaultRead, Node: 1, Task: 4},
+		spanOf(evs[1]),
+		spanOf(evs[2]),
+	}
+	got := NewTrace(spans).Events()
+	if len(got) != len(evs) {
+		t.Fatalf("decoded %d events, want %d: %+v", len(got), len(evs), got)
+	}
+	for i := range evs {
+		if got[i] != evs[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], evs[i])
+		}
+	}
+}
+
+// analyses renders every analysis of tr, for comparing traces.
+func analyses(tr *Trace) string {
+	var sb strings.Builder
+	tr.Report(&sb, 0)
+	fmt.Fprintf(&sb, "%+v\n%+v\n", tr.AffinitySuggestions(1), tr.Timeline(time.Millisecond))
+	return sb.String()
+}
+
+// TestAnalysesIgnoreEventOrder: the recorder merges its lanes in (time,
+// lane, sequence) order, not in the order faults completed, so no analysis
+// may depend on event order. A thread that migrated gets one affinity
+// suggestion per origin node with equal ReadFaults here, and those must
+// still come out in one order.
+func TestAnalysesIgnoreEventOrder(t *testing.T) {
+	page := func(p int) mem.Addr { return mem.Addr(0xb0000000 + p*mem.PageSize) }
+	var evs []Event
+	// Node 3 produces pages 0-1; task 12 reads them from node 1, migrates,
+	// and reads them again from node 0.
+	for p := 0; p < 2; p++ {
+		evs = append(evs, Event{Time: time.Millisecond, Node: 3, Task: 2, Kind: KindWrite, Site: "produce", Addr: page(p), Latency: 20 * time.Microsecond})
+		for i := 0; i < 3; i++ {
+			evs = append(evs,
+				Event{Time: time.Duration(2+i) * time.Millisecond, Node: 1, Task: 12, Kind: KindRead, Site: "consume", Addr: page(p) + 8, Latency: 15 * time.Microsecond},
+				Event{Time: time.Duration(5+i) * time.Millisecond, Node: 0, Task: 12, Kind: KindRead, Site: "consume", Addr: page(p) + 8, Latency: 45 * time.Microsecond, Retries: 1})
+		}
+		evs = append(evs, Event{Time: 3 * time.Millisecond, Node: 3, Task: -1, Kind: KindInvalidate, Addr: page(p)})
+	}
+	want := analyses(traceOf(evs))
+	if sug := traceOf(evs).AffinitySuggestions(1); len(sug) != 2 || sug[0].From != 0 || sug[1].From != 1 {
+		t.Fatalf("suggestions = %+v, want one per origin node, node 0 first", sug)
+	}
+	rev := make([]Event, len(evs))
+	for i, ev := range evs {
+		rev[len(evs)-1-i] = ev
+	}
+	if got := analyses(traceOf(rev)); got != want {
+		t.Fatalf("reversed events changed the analyses:\n%s\nwant:\n%s", got, want)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20; i++ {
+		shuf := append([]Event(nil), evs...)
+		rng.Shuffle(len(shuf), func(a, b int) { shuf[a], shuf[b] = shuf[b], shuf[a] })
+		if got := analyses(traceOf(shuf)); got != want {
+			t.Fatalf("shuffled events changed the analyses:\n%s\nwant:\n%s", got, want)
+		}
+	}
+}
+
 func mkTrace() *Trace {
-	tr := NewTrace()
-	hook := tr.Hook()
+	var evs []Event
 	page := func(p int) mem.Addr { return mem.Addr(0x40000000 + p*mem.PageSize) }
 	// Page 0: heavy cross-node write contention; page 1: read-mostly from
 	// one node; page 2: single invalidation.
 	for i := 0; i < 10; i++ {
-		hook(dsm.FaultEvent{
+		evs = append(evs, Event{
 			Time: time.Duration(i) * time.Millisecond, Node: i % 2, Task: i % 3,
-			Kind: dsm.KindWrite, Site: "kmeans/update", Addr: page(0) + 8,
+			Kind: KindWrite, Site: "kmeans/update", Addr: page(0) + 8,
 			Latency: 100 * time.Microsecond, Retries: 1,
 		})
 	}
 	for i := 0; i < 4; i++ {
-		hook(dsm.FaultEvent{
+		evs = append(evs, Event{
 			Time: time.Duration(i) * time.Millisecond, Node: 1, Task: 5,
-			Kind: dsm.KindRead, Site: "kmeans/scan", Addr: page(1) + 16,
+			Kind: KindRead, Site: "kmeans/scan", Addr: page(1) + 16,
 			Latency: 19 * time.Microsecond,
 		})
 	}
-	hook(dsm.FaultEvent{Time: 2 * time.Millisecond, Node: 0, Task: -1, Kind: dsm.KindInvalidate, Addr: page(2)})
+	evs = append(evs, Event{Time: 2 * time.Millisecond, Node: 0, Task: -1, Kind: KindInvalidate, Addr: page(2)})
+	tr := traceOf(evs)
 	tr.SetLabeler(func(a mem.Addr) string {
 		switch a.PageBase() {
 		case page(0):
@@ -160,7 +263,7 @@ func TestReportRenders(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	tr := NewTrace()
+	tr := NewTrace(nil)
 	if tr.Len() != 0 || tr.Summarize().Total != 0 {
 		t.Fatal("empty trace not empty")
 	}
@@ -172,19 +275,19 @@ func TestEmptyTrace(t *testing.T) {
 }
 
 func TestAffinitySuggestions(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	var evs []Event
 	page := func(p int) mem.Addr { return mem.Addr(0x50000000 + p*mem.PageSize) }
 	// Node 2 produces pages 0-3; task 9 on node 0 keeps reading them.
 	for p := 0; p < 4; p++ {
-		hook(dsm.FaultEvent{Node: 2, Task: 1, Kind: dsm.KindWrite, Addr: page(p)})
+		evs = append(evs, Event{Node: 2, Task: 1, Kind: KindWrite, Addr: page(p)})
 		for i := 0; i < 5; i++ {
-			hook(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindRead, Addr: page(p) + 8})
+			evs = append(evs, Event{Node: 0, Task: 9, Kind: KindRead, Addr: page(p) + 8})
 		}
 	}
 	// Task 9 also reads one page produced locally (must not count).
-	hook(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindWrite, Addr: page(9)})
-	hook(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindRead, Addr: page(9)})
+	evs = append(evs, Event{Node: 0, Task: 9, Kind: KindWrite, Addr: page(9)})
+	evs = append(evs, Event{Node: 0, Task: 9, Kind: KindRead, Addr: page(9)})
+	tr := traceOf(evs)
 	sug := tr.AffinitySuggestions(1)
 	if len(sug) != 1 {
 		t.Fatalf("suggestions = %+v", sug)
@@ -199,11 +302,11 @@ func TestAffinitySuggestions(t *testing.T) {
 }
 
 func TestAffinityMinFaultsFilter(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	var evs []Event
 	a := mem.Addr(0x60000000)
-	hook(dsm.FaultEvent{Node: 1, Task: 2, Kind: dsm.KindWrite, Addr: a})
-	hook(dsm.FaultEvent{Node: 0, Task: 3, Kind: dsm.KindRead, Addr: a})
+	evs = append(evs, Event{Node: 1, Task: 2, Kind: KindWrite, Addr: a})
+	evs = append(evs, Event{Node: 0, Task: 3, Kind: KindRead, Addr: a})
+	tr := traceOf(evs)
 	if got := tr.AffinitySuggestions(2); len(got) != 0 {
 		t.Fatalf("below-threshold suggestion returned: %+v", got)
 	}
@@ -213,10 +316,10 @@ func TestAffinityMinFaultsFilter(t *testing.T) {
 }
 
 func TestAffinityNoWriterKnown(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	var evs []Event
 	// Reads of a page that was never written cross-node: no producer info.
-	hook(dsm.FaultEvent{Node: 0, Task: 1, Kind: dsm.KindRead, Addr: 0x70000000})
+	evs = append(evs, Event{Node: 0, Task: 1, Kind: KindRead, Addr: 0x70000000})
+	tr := traceOf(evs)
 	if got := tr.AffinitySuggestions(1); len(got) != 0 {
 		t.Fatalf("suggestion without producer: %+v", got)
 	}
@@ -224,14 +327,13 @@ func TestAffinityNoWriterKnown(t *testing.T) {
 
 func TestAffinityTieBreaksDeterministic(t *testing.T) {
 	build := func() []Suggestion {
-		tr := NewTrace()
-		hook := tr.Hook()
+		var evs []Event
 		pa, pb := mem.Addr(0x80000000), mem.Addr(0x80001000)
-		hook(dsm.FaultEvent{Node: 1, Task: 0, Kind: dsm.KindWrite, Addr: pa})
-		hook(dsm.FaultEvent{Node: 2, Task: 0, Kind: dsm.KindWrite, Addr: pb})
-		hook(dsm.FaultEvent{Node: 0, Task: 5, Kind: dsm.KindRead, Addr: pa})
-		hook(dsm.FaultEvent{Node: 0, Task: 5, Kind: dsm.KindRead, Addr: pb})
-		return tr.AffinitySuggestions(1)
+		evs = append(evs, Event{Node: 1, Task: 0, Kind: KindWrite, Addr: pa})
+		evs = append(evs, Event{Node: 2, Task: 0, Kind: KindWrite, Addr: pb})
+		evs = append(evs, Event{Node: 0, Task: 5, Kind: KindRead, Addr: pa})
+		evs = append(evs, Event{Node: 0, Task: 5, Kind: KindRead, Addr: pb})
+		return traceOf(evs).AffinitySuggestions(1)
 	}
 	a, b := build(), build()
 	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
@@ -243,18 +345,18 @@ func TestAffinityTieBreaksDeterministic(t *testing.T) {
 }
 
 func TestCorrelatedSites(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	var evs []Event
 	pg := func(p int) mem.Addr { return mem.Addr(0x90000000 + p*mem.PageSize) }
 	// "producer/store" writes pages 0-1; "consumer/load" reads them back.
 	for p := 0; p < 2; p++ {
 		for i := 0; i < 5; i++ {
-			hook(dsm.FaultEvent{Node: 0, Task: 1, Kind: dsm.KindWrite, Site: "producer/store", Addr: pg(p)})
-			hook(dsm.FaultEvent{Node: 1, Task: 2, Kind: dsm.KindRead, Site: "consumer/load", Addr: pg(p) + 64})
+			evs = append(evs, Event{Node: 0, Task: 1, Kind: KindWrite, Site: "producer/store", Addr: pg(p)})
+			evs = append(evs, Event{Node: 1, Task: 2, Kind: KindRead, Site: "consumer/load", Addr: pg(p) + 64})
 		}
 	}
 	// Unrelated site on its own page must not pair up.
-	hook(dsm.FaultEvent{Node: 0, Task: 3, Kind: dsm.KindWrite, Site: "elsewhere", Addr: pg(9)})
+	evs = append(evs, Event{Node: 0, Task: 3, Kind: KindWrite, Site: "elsewhere", Addr: pg(9)})
+	tr := traceOf(evs)
 	pairs := tr.CorrelatedSites(5)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %+v", pairs)
@@ -269,14 +371,14 @@ func TestCorrelatedSites(t *testing.T) {
 }
 
 func TestCorrelatedSitesTopN(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	var evs []Event
 	pg := mem.Addr(0xa0000000)
 	for i := 0; i < 3; i++ {
 		site := string(rune('a' + i))
-		hook(dsm.FaultEvent{Kind: dsm.KindWrite, Site: "w" + site, Addr: pg + mem.Addr(i*mem.PageSize)})
-		hook(dsm.FaultEvent{Kind: dsm.KindRead, Site: "r" + site, Addr: pg + mem.Addr(i*mem.PageSize)})
+		evs = append(evs, Event{Kind: KindWrite, Site: "w" + site, Addr: pg + mem.Addr(i*mem.PageSize)})
+		evs = append(evs, Event{Kind: KindRead, Site: "r" + site, Addr: pg + mem.Addr(i*mem.PageSize)})
 	}
+	tr := traceOf(evs)
 	if got := tr.CorrelatedSites(2); len(got) != 2 {
 		t.Fatalf("topN = %d", len(got))
 	}

@@ -155,58 +155,6 @@ func TestObserverRecordsEveryLayer(t *testing.T) {
 	}
 }
 
-// TestTraceAndObserverShareHookSlot: the page-fault profiler and the
-// observability recorder both see every fault event when installed together
-// (the Fanout composition), and WithTrace no longer clobbers prior hooks.
-func TestTraceAndObserverShareHookSlot(t *testing.T) {
-	tr := NewTrace()
-	rec := NewRecorder()
-	cluster := NewCluster(2, WithSeed(5), WithObserver(rec), WithTrace(tr))
-	if _, err := cluster.Run(obsWorkload(2)); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("profiler saw no events")
-	}
-	faultSpans := 0
-	for _, s := range rec.Spans() {
-		switch s.Name {
-		case "fault.read", "fault.write", "invalidate":
-			faultSpans++
-		}
-	}
-	if faultSpans != tr.Len() {
-		t.Fatalf("recorder saw %d fault events, profiler %d — hook fanout broken", faultSpans, tr.Len())
-	}
-}
-
-// TestTraceCap bounds the profiler's memory: beyond the cap events are
-// dropped and counted, and the analyses still work on the retained prefix.
-func TestTraceCap(t *testing.T) {
-	tr := NewTrace()
-	tr.SetCap(10)
-	cluster := NewCluster(2, WithSeed(5), WithTrace(tr))
-	if _, err := cluster.Run(obsWorkload(2)); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 10 {
-		t.Fatalf("retained %d events, cap was 10", tr.Len())
-	}
-	if tr.Dropped() == 0 {
-		t.Fatal("no events counted as dropped")
-	}
-	// An uncapped run of the same seed sees cap+dropped events in total.
-	tr2 := NewTrace()
-	cluster2 := NewCluster(2, WithSeed(5), WithTrace(tr2))
-	if _, err := cluster2.Run(obsWorkload(2)); err != nil {
-		t.Fatal(err)
-	}
-	if uint64(tr.Len())+tr.Dropped() != uint64(tr2.Len()) {
-		t.Fatalf("cap accounting: %d retained + %d dropped != %d total",
-			tr.Len(), tr.Dropped(), tr2.Len())
-	}
-}
-
 // TestReportTLBPerNode: the per-node TLB breakdown sums to the aggregate.
 func TestReportTLBPerNode(t *testing.T) {
 	cluster := NewCluster(3, WithSeed(9))

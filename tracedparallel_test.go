@@ -2,6 +2,7 @@ package dex_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -56,6 +57,47 @@ func requireIdenticalTraced(t *testing.T, label string, app apps.App, cfg apps.C
 	}
 	if len(strace) < 1000 {
 		t.Fatalf("%s: trace suspiciously small (%d bytes)", label, len(strace))
+	}
+}
+
+// profileReport runs kmn (initial variant, the false-sharing profile) on 4
+// nodes with a recorder at the given core count and renders the page-fault
+// profiler's report, affinity suggestions and timeline.
+func profileReport(t *testing.T, cores int) []byte {
+	t.Helper()
+	app, _ := apps.ByName("kmn")
+	rec := dex.NewRecorder()
+	res, err := app.Run(apps.Config{Nodes: 4, Variant: apps.Initial,
+		Opts: []dex.Option{dex.WithObserver(rec), dex.WithCores(cores)}})
+	if err != nil {
+		t.Fatalf("kmn cores=%d: %v", cores, err)
+	}
+	tr := dex.NewTrace(rec)
+	if tr.Len() == 0 {
+		t.Fatalf("cores=%d: profiler saw no fault events", cores)
+	}
+	var out bytes.Buffer
+	tr.Report(&out, 5)
+	for _, s := range tr.AffinitySuggestions(1) {
+		fmt.Fprintf(&out, "%+v\n", s)
+	}
+	for _, b := range tr.Timeline(res.Elapsed / 20) {
+		fmt.Fprintf(&out, "%v %d\n", b.Start, b.Faults)
+	}
+	return out.Bytes()
+}
+
+// TestProfileReportIdenticalAcrossCores: the page-fault profiler reads the
+// lane-sharded recorder, so it no longer clamps the simulator to one core,
+// and its analyses are byte-identical at -cores 1 and -cores 4.
+func TestProfileReportIdenticalAcrossCores(t *testing.T) {
+	c := dex.NewCluster(4, dex.WithObserver(dex.NewRecorder()), dex.WithCores(4))
+	if got := c.Machine().Engine().Cores(); got != 4 {
+		t.Fatalf("recorder clamped the simulator to %d cores, want 4", got)
+	}
+	serial, parallel := profileReport(t, 1), profileReport(t, 4)
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("profile diverged between cores=1 and cores=4:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
 }
 
