@@ -121,6 +121,46 @@ func TestKMNReferenceStable(t *testing.T) {
 	_ = p
 }
 
+// TestKMNReferenceHandComputed checks the sequential k-means reference,
+// and the concurrent path that runs it next to a simulation, against
+// centers worked out by hand. The points lie on the line y = 2x, z = -1 at
+// x = 0, 1, 5, 6, 20; the first two seed the centers. Iteration 1 assigns
+// x = 0 alone to center 0 (centers 0 and 8); iteration 2 moves x = 1 over
+// (0.5 and 31/3); iteration 3 moves x = 5 (2 and 13); iteration 4 moves
+// x = 6 (3 and 20), after which nothing changes.
+func TestKMNReferenceHandComputed(t *testing.T) {
+	var pts []float64
+	for _, x := range []float64{0, 1, 5, 6, 20} {
+		pts = append(pts, x, 2*x, -1)
+	}
+	for _, tc := range []struct {
+		iters  int
+		x0, x1 float64
+	}{
+		{1, 0, 8},
+		{2, 0.5, 31.0 / 3},
+		{3, 2, 13},
+		{5, 3, 20},
+	} {
+		p := kmnParams{points: 5, k: 2, iters: tc.iters}
+		want := []float64{tc.x0, 2 * tc.x0, -1, tc.x1, 2 * tc.x1, -1}
+		got := <-goKMNReference(pts, p)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-12 {
+				t.Fatalf("iters=%d: centers %v, want %v", tc.iters, got, want)
+			}
+		}
+		if err := checkKMN(want, got); err != nil {
+			t.Fatalf("iters=%d: exact result rejected: %v", tc.iters, err)
+		}
+		off := append([]float64(nil), want...)
+		off[3] += 1e-3
+		if err := checkKMN(off, got); err == nil {
+			t.Fatalf("iters=%d: perturbed center accepted", tc.iters)
+		}
+	}
+}
+
 func TestBPCacheModelShape(t *testing.T) {
 	p := bpSizes(SizeFull)
 	b1 := bpEffectiveBytes(p, 1)

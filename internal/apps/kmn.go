@@ -53,6 +53,7 @@ func RunKMN(cfg Config) (Result, error) {
 		pts[i] = rng.Float64() * 100
 	}
 
+	ref := goKMNReference(pts, p)
 	cluster := cfg.cluster()
 	var finalCenters []float64
 	var roiStart, roiEnd time.Duration
@@ -93,7 +94,6 @@ func RunKMN(cfg Config) (Result, error) {
 
 		body := func(w *dex.Thread, id int) error {
 			lo, hi := partition(p.points, threads, id)
-			buf := make([]float64, 0, p.chunk*kmnDims)
 			for iter := 0; iter < p.iters; iter++ {
 				w.SetSite("kmn/centers")
 				ctr, err := readFloat64s(w, centers, p.k*kmnDims)
@@ -108,12 +108,10 @@ func RunKMN(cfg Config) (Result, error) {
 						n = hi - pos
 					}
 					w.SetSite("kmn/points")
-					buf = buf[:n*kmnDims]
-					pbuf, err := readFloat64s(w, points+dex.Addr(8*pos*kmnDims), n*kmnDims)
+					buf, err := readFloat64s(w, points+dex.Addr(8*pos*kmnDims), n*kmnDims)
 					if err != nil {
 						return err
 					}
-					copy(buf, pbuf)
 					// Process the chunk in merge-granularity units so that
 					// the Initial variant's global merges interleave with
 					// computation the way the original per-point stores do.
@@ -278,12 +276,8 @@ func RunKMN(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Verify against the sequential reference.
-	ref := kmnReference(pts, p)
-	for i := range ref {
-		if math.Abs(ref[i]-finalCenters[i]) > 1e-6*(1+math.Abs(ref[i])) {
-			return Result{}, fmt.Errorf("kmn: center component %d = %g, want %g", i, finalCenters[i], ref[i])
-		}
+	if err := checkKMN(finalCenters, <-ref); err != nil {
+		return Result{}, err
 	}
 	return Result{
 		App:     "kmn",
@@ -294,6 +288,26 @@ func RunKMN(cfg Config) (Result, error) {
 		Report:  report,
 		Check:   checksumFloats(finalCenters, 1e-6),
 	}, nil
+}
+
+// goKMNReference computes kmnReference(pts, p) on its own goroutine, so the
+// check overlaps the simulated run; pts must not change until the result is
+// received. The channel holds one result, so a caller that returns early
+// without receiving it does not leak the goroutine.
+func goKMNReference(pts []float64, p kmnParams) <-chan []float64 {
+	ref := make(chan []float64, 1)
+	go func() { ref <- kmnReference(pts, p) }()
+	return ref
+}
+
+// checkKMN compares the distributed result against the sequential reference.
+func checkKMN(got, ref []float64) error {
+	for i := range ref {
+		if math.Abs(ref[i]-got[i]) > 1e-6*(1+math.Abs(ref[i])) {
+			return fmt.Errorf("kmn: center component %d = %g, want %g", i, got[i], ref[i])
+		}
+	}
+	return nil
 }
 
 // kmnReference is the sequential k-means used for verification.

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -27,6 +26,7 @@ func runKMNRestart(cfg Config) (Result, error) {
 		pts[i] = rng.Float64() * 100
 	}
 
+	ref := goKMNReference(pts, p)
 	cluster := cfg.cluster()
 	var finalCenters []float64
 	var roiStart, roiEnd time.Duration
@@ -227,11 +227,8 @@ func runKMNRestart(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ref := kmnReference(pts, p)
-	for i := range ref {
-		if math.Abs(ref[i]-finalCenters[i]) > 1e-6*(1+math.Abs(ref[i])) {
-			return Result{}, fmt.Errorf("kmn: center component %d = %g, want %g", i, finalCenters[i], ref[i])
-		}
+	if err := checkKMN(finalCenters, <-ref); err != nil {
+		return Result{}, err
 	}
 	return Result{
 		App:     "kmn",

@@ -7,7 +7,7 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // CSR is a directed graph in compressed sparse row form.
@@ -31,7 +31,9 @@ func (g *CSR) Neighbors(v int) []uint32 {
 // RMAT generates an R-MAT graph with n vertices (rounded up to a power of
 // two) and m directed edges using the Graph500 parameters a=0.57, b=0.19,
 // c=0.19, d=0.05. Duplicate edges are kept (as Graph500 does); self loops
-// are permitted. Edges within each adjacency list are sorted.
+// are permitted. The CSR is built in O(n+m) by a counting sort on the
+// source vertex, and each adjacency list is then sorted, so edges within
+// every list come out in ascending order.
 func RMAT(seed int64, n, m int) *CSR {
 	const (
 		a = 0.57
@@ -45,45 +47,47 @@ func RMAT(seed int64, n, m int) *CSR {
 		levels++
 	}
 	rng := rand.New(rand.NewSource(seed))
-	type edge struct{ src, dst uint32 }
-	edges := make([]edge, m)
-	for i := range edges {
-		var src, dst uint32
-		for l := 0; l < levels; l++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				dst |= 1 << uint(l)
-			case r < a+b+c:
-				src |= 1 << uint(l)
-			default:
-				src |= 1 << uint(l)
-				dst |= 1 << uint(l)
-			}
-		}
-		edges[i] = edge{src: src, dst: dst}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].src != edges[j].src {
-			return edges[i].src < edges[j].src
-		}
-		return edges[i].dst < edges[j].dst
-	})
 	g := &CSR{
 		N:       size,
 		Offsets: make([]uint64, size+1),
 		Edges:   make([]uint32, m),
 	}
-	for i, e := range edges {
-		g.Offsets[e.src+1]++
-		g.Edges[i] = e.dst
+	srcs, dsts := make([]uint32, m), make([]uint32, m)
+	for i := range srcs {
+		// Each level picks a quadrant: r < a is top-left (no bits),
+		// [a, a+b) top-right (dst bit), [a+b, a+b+c) bottom-left (src bit),
+		// and the rest bottom-right (both bits).
+		var src, dst uint32
+		for l := 0; l < levels; l++ {
+			r := rng.Float64()
+			src |= b2u(r >= a+b) << l
+			dst |= (b2u(r >= a) ^ b2u(r >= a+b) ^ b2u(r >= a+b+c)) << l
+		}
+		srcs[i], dsts[i] = src, dst
+		g.Offsets[src+1]++
 	}
 	for v := 0; v < size; v++ {
 		g.Offsets[v+1] += g.Offsets[v]
 	}
+	// Scatter each destination into its source's list, then order the lists.
+	cursor := make([]uint64, size)
+	copy(cursor, g.Offsets[:size])
+	for i, src := range srcs {
+		g.Edges[cursor[src]] = dsts[i]
+		cursor[src]++
+	}
+	for v := 0; v < size; v++ {
+		slices.Sort(g.Neighbors(v))
+	}
 	return g
+}
+
+// b2u converts a comparison result to 0 or 1 without a branch.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Transpose returns the reversed graph (in-edges become out-edges), used by
