@@ -263,9 +263,9 @@ func printPercentiles(spans []span) {
 		// Recovery-lifecycle and scheduler-era span kinds.
 		"retransmit", "dedup.reserve", "dedup.reack", "checkpoint",
 		"lease.suspect", "node.crash", "node.dead", "thread.restart", "revoke.apply",
-		"hm.redirect", "hm.failover", "hm.rehome", "hm.pull",
-		// Sharded-directory span kinds (DistributedManager): lookup
-		// resolution, forwarding-chain bounces, path-compression hint
+		"hm.failover", "hm.pull",
+		// Sharded-directory span kinds (home-migrate and distributed-manager):
+		// lookup resolution, forwarding-chain bounces, path-compression hint
 		// application, and crashed-shard slice rebuilds.
 		"dist.lookup", "dist.forward", "dist.compress", "dist.rebuild",
 		// Serving-layer span kinds (internal/serve): req.serve carries the

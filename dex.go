@@ -142,9 +142,9 @@ func WithSeed(seed int64) Option {
 // core count — n trades wall-clock time only, never results. n <= 1 (the
 // default) keeps the proven serial loop. The observability recorder
 // (WithObserver), and with it the page-fault profiler (NewTrace), is
-// lane-sharded and runs in parallel, and the distributed-manager protocol
-// serves its directory shards on parallel lanes; only clusters running the
-// home-migrate protocol clamp back to serial automatically.
+// lane-sharded and runs in parallel, and the home-migrate and
+// distributed-manager protocols serve their directory shards on parallel
+// lanes. No option forces the serial loop.
 func WithCores(n int) Option {
 	return optionFunc(func(p *core.Params) { p.Cores = n })
 }
@@ -220,11 +220,16 @@ const (
 	WriteInvalidate = dsm.WriteInvalidate
 	// HomeMigrate moves a page's directory home to the last exclusive
 	// writer, so repeated faults on writer-local pages skip the origin
-	// round trip. Under WithChaos, pages whose home is declared dead are
-	// reclaimed to the origin shard and in-flight requests fail over there.
+	// round trip. It is the origin-anchored preset of the sharded directory
+	// (DistributedManager with every lookup starting at the origin, which
+	// forwards requests for migrated pages to their current home). Shards
+	// serve concurrently (it composes with WithCores), and under WithChaos a
+	// dead home's pages are rebuilt at the origin once the node is declared
+	// dead.
 	HomeMigrate = dsm.HomeMigrate
-	// DistributedManager hash-shards the ownership directory across every
-	// node: lookups start at a page's static anchor shard, authority follows
+	// DistributedManager is the hash-anchored preset of the sharded
+	// directory: lookups start at a page's static anchor shard, a hash of
+	// its address, so the origin is just another shard. Authority follows
 	// the last writer, and departed authority leaves forwarding pointers
 	// that path-compression hints collapse to at most one hop. Shards serve
 	// concurrently (it composes with WithCores), and under WithChaos a
@@ -245,9 +250,8 @@ func ProtocolHelp() string    { return dsm.ProtocolHelp() }
 // WithProtocol selects the coherence policy (default WriteInvalidate).
 // Every policy is hardened against WithChaos fault injection: requests
 // retransmit on loss, duplicates are absorbed idempotently, and a dead
-// node's directory pages are rehomed — to the origin under HomeMigrate, to
-// each page's live anchor shard under DistributedManager — with stale home
-// hints and forwarding pointers repaired.
+// node's directory pages are rebuilt at each page's live anchor shard (the
+// origin under HomeMigrate) with forwarding pointers repaired.
 func WithProtocol(proto Protocol) Option {
 	return optionFunc(func(p *core.Params) { p.DSM.Protocol = proto })
 }

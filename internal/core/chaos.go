@@ -100,13 +100,15 @@ func (p *Process) startLeaseMonitor() {
 	p.m.eng.After(period, tick)
 }
 
-// leaseNodes returns the nodes the origin's lease protocol monitors. With
-// the centralized directories (WriteInvalidate, HomeMigrate) only nodes
-// hosting this process's threads hold state the process depends on, so the
-// lease covers the remote workers. Under DistributedManager every node is a
-// directory shard regardless of thread placement: a crashed shard must be
-// detected and declared dead — so its directory slice is rebuilt and
-// anchor lookups fail over — even if no thread ever migrated there.
+// leaseNodes returns the nodes the origin's lease protocol monitors. Under
+// WriteInvalidate, and under HomeMigrate (whose anchors are all at the
+// origin and whose homes follow writers, i.e. nodes that ran a thread),
+// only nodes hosting this process's threads hold state the process depends
+// on, so the lease covers the remote workers. Under DistributedManager
+// every node is an anchor shard regardless of thread placement: a crashed
+// shard must be detected and declared dead — so its directory slice is
+// rebuilt and anchor lookups fail over — even if no thread ever migrated
+// there.
 func (p *Process) leaseNodes() []int {
 	if p.mgr.Protocol() == dsm.DistributedManager {
 		nodes := make([]int, 0, p.m.params.Nodes-1)

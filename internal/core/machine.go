@@ -77,11 +77,7 @@ type Params struct {
 	// 1 (the default) runs the classic serial loop, >1 enables the
 	// conservative-parallel scheduler, which executes distinct node lanes
 	// concurrently within each link-latency lookahead window. Reports are
-	// byte-identical at any value. The HomeMigrate protocol, whose
-	// bookkeeping crosses node lanes in event context, forces serial
-	// execution regardless of this setting; the observability recorder
-	// (and with it the page-fault profiler) is lane-sharded and runs
-	// parallel.
+	// byte-identical at any value.
 	Cores int
 	// MemBandwidth is the per-node memory-bus bandwidth in bytes/second
 	// shared by all cores of a node; it is what saturates first for
@@ -182,20 +178,6 @@ func NewMachine(params Params) *Machine {
 	}
 	cores := params.Cores
 	if cores < 1 {
-		cores = 1
-	}
-	// Serialization clamp. HomeMigrate serves page requests (mutating
-	// entries of the shared directory tree) at arbitrary nodes, which is
-	// correct only under serial execution. The observability recorder, the
-	// only sink of the fault stream, is lane-sharded (each lane appends only
-	// to its own buffer, merged deterministically at export) and does not
-	// clamp. DistributedManager does not clamp either: its directory is
-	// sharded into per-node tables that only their own lane (or the
-	// quiescent global lane) mutates, so shards serve concurrently. Lanes
-	// are still configured identically so the event order — and every
-	// report — matches what the parallel scheduler produces for the same
-	// workload.
-	if params.DSM.Protocol == dsm.HomeMigrate {
 		cores = 1
 	}
 	// Lanes and lookahead must exist before fabric.New: the network binds its

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dex/internal/chaos"
-	"dex/internal/fabric"
 	"dex/internal/mem"
 	"dex/internal/sim"
 )
@@ -14,22 +13,14 @@ import (
 // the manager is created (mirroring core's wiring order).
 func newChaosEnv(t *testing.T, nodes int, plan *chaos.Plan) *env {
 	t.Helper()
-	if err := plan.Validate(nodes); err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	eng := sim.NewEngine(1)
-	net := fabric.New(eng, fabric.DefaultParams(nodes))
-	net.SetChaos(chaos.NewInjector(plan, nodes))
-	m := New(eng, net, DefaultParams(), 1, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		node := i
-		net.SetHandler(node, func(src int, msg fabric.Message) {
-			if !m.HandleMessage(node, src, msg) {
-				t.Errorf("unhandled message at node %d from %d: %T", node, src, msg)
-			}
-		})
-	}
-	return &env{eng: eng, net: net, m: m}
+	return newChaosEnvParams(t, nodes, plan, DefaultParams())
+}
+
+// newChaosEnvParams is newChaosEnv with a caller-supplied cost model and
+// protocol.
+func newChaosEnvParams(t *testing.T, nodes int, plan *chaos.Plan, params Params) *env {
+	t.Helper()
+	return wireEnv(t, 1, nodes, params, plan)
 }
 
 // mixedWorkload shuttles two pages between three nodes so that every

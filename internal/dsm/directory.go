@@ -89,11 +89,11 @@ const (
 	// home node (lost writers, rolled-back write grants, dead-node reclaim).
 	EvReclaimHome
 	// EvRehome moves the directory home of a page to a new node and makes
-	// that node the sole owner (HomeMigrate dead-home recovery: the old home
-	// died, ownership is reclaimed to the origin shard).
+	// that node the sole owner (dead-shard rebuild: the old home died,
+	// ownership is reclaimed at the page's live anchor shard).
 	EvRehome
 	// EvAdoptHome materializes directory authority at a node that has just
-	// installed a migrated write grant (DistributedManager only): the entry
+	// installed a migrated write grant (sharded directory only): the entry
 	// is freshly constructed in the adopting node's shard table, with the
 	// adopter as home and sole exclusive owner. The old home's copy of the
 	// record is retired separately, behind a forwarding pointer.
@@ -137,7 +137,7 @@ func (e Event) String() string {
 var legalTransitions = [pageStateCount][eventCount]bool{
 	StateInvalid: {
 		EvFirstTouch: true,
-		EvAdoptHome:  true, // install-time authority adoption (DistributedManager)
+		EvAdoptHome:  true, // install-time authority adoption (sharded directory)
 	},
 	StateSharedRead: {
 		EvBegin:     true,
@@ -179,14 +179,15 @@ func LegalTransition(s PageState, ev Event) bool {
 
 // dirEntry is a page's ownership record: its coherence state, its home node
 // (the node whose directory partition serves transactions for it — always
-// the origin under WriteInvalidate, the last writer under HomeMigrate), the
-// owner bitmask, and the exclusive writer (or -1).
+// the origin under WriteInvalidate, the last writer under the sharded
+// directory), the owner bitmask, and the exclusive writer (or -1).
 type dirEntry struct {
 	state  PageState
 	home   int
 	owners uint64 // bitmask of nodes holding a valid copy
 	writer int    // exclusive owner, or -1
-	// epoch counts home handoffs under DistributedManager (zero elsewhere).
+	// epoch counts home handoffs under the sharded directory (zero under
+	// WriteInvalidate).
 	// Every piece of routing information — grant replies, redirects,
 	// revocation-carried hints, compression hints — is stamped with the
 	// epoch of the home it names, and nodes reject updates older than what
@@ -339,8 +340,8 @@ func (d *dirEntry) reclaimHome() {
 }
 
 // rehome moves the directory home to newHome and makes it the sole owner
-// of the (replacement) copy. Used by HomeMigrate dead-home recovery: the
-// previous home died, so the origin shard takes the page back. The caller
+// of the (replacement) copy. Used by the dead-shard rebuild: the previous
+// home died, so the page's live anchor shard takes the page back. The caller
 // maps newHome's replacement frame and scrubs every other node's PTE.
 func (d *dirEntry) rehome(newHome int) {
 	d.step(EvRehome)
@@ -356,7 +357,7 @@ func (d *dirEntry) rehome(newHome int) {
 }
 
 // adoptHome materializes directory authority for a freshly migrated write
-// grant at node (DistributedManager): the adopter becomes home and sole
+// grant at node (sharded directory): the adopter becomes home and sole
 // exclusive owner. The caller has already installed the granted frame.
 func (d *dirEntry) adoptHome(node int) {
 	d.step(EvAdoptHome)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dex/internal/chaos"
 	"dex/internal/fabric"
 	"dex/internal/mem"
 	"dex/internal/obs"
@@ -25,8 +26,28 @@ func newEnv(t *testing.T, nodes int, params Params) *env {
 
 func newEnvSeed(t *testing.T, nodes int, params Params, seed int64) *env {
 	t.Helper()
+	return wireEnv(t, seed, nodes, params, nil)
+}
+
+// testEventLimit caps every test engine. The busiest dsm test commits about
+// 78k events, so a run that reaches a million is a livelock: it ends as an
+// attributable sim.ErrEventLimit instead of hanging the package.
+const testEventLimit = 1_000_000
+
+// wireEnv builds an engine, the fabric and a manager with params. A non-nil
+// plan attaches a fault injector to the fabric before the manager is
+// created (mirroring core's wiring order).
+func wireEnv(t *testing.T, seed int64, nodes int, params Params, plan *chaos.Plan) *env {
+	t.Helper()
 	eng := sim.NewEngine(seed)
+	eng.SetEventLimit(testEventLimit)
 	net := fabric.New(eng, fabric.DefaultParams(nodes))
+	if plan != nil {
+		if err := plan.Validate(nodes); err != nil {
+			t.Fatalf("plan: %v", err)
+		}
+		net.SetChaos(chaos.NewInjector(plan, nodes))
+	}
 	m := New(eng, net, params, 1, 0, nodes)
 	for i := 0; i < nodes; i++ {
 		node := i

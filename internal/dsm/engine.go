@@ -47,7 +47,7 @@ func tokenNode(tok uint64) int { return int(tok >> tokenNodeShift) }
 // per node and lives in nodeState: revocations and grants are only ever
 // issued from the serving home's own simulation lane, and sharding the
 // state by issuer lets several directory shards serve concurrently under
-// DistributedManager without a shared counter or map. The engine itself
+// the sharded directory without a shared counter or map. The engine itself
 // keeps only the sweep watermarks, which are written exclusively on the
 // serialized global lane.
 type engine struct {
@@ -384,8 +384,8 @@ func (e *engine) redeliverServe(req *pageRequest, st *serveState) {
 		return
 	}
 	m.stats.retransmits.Add(1)
-	// Duplicates are delivered at the node that served the original (always
-	// the origin under WriteInvalidate; HomeMigrate runs serialized).
+	// Duplicates are delivered at the node that served the original: the
+	// record lives in that node's served table, on whose lane this runs.
 	m.dedupSpan(st.home, "dedup.reserve", req.vpn)
 	reply := &pageReply{pid: m.pid, token: req.token, nack: st.nack, stale: st.stale,
 		redirect: st.redirect, home: st.redirTo}

@@ -5,33 +5,9 @@ import (
 	"time"
 
 	"dex/internal/chaos"
-	"dex/internal/fabric"
 	"dex/internal/mem"
 	"dex/internal/sim"
 )
-
-// newChaosEnvParams is newChaosEnv with a caller-supplied cost model (the
-// boundedness test shrinks the retransmit horizon so pruning cycles many
-// times within one run).
-func newChaosEnvParams(t *testing.T, nodes int, plan *chaos.Plan, params Params) *env {
-	t.Helper()
-	if err := plan.Validate(nodes); err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	eng := sim.NewEngine(1)
-	net := fabric.New(eng, fabric.DefaultParams(nodes))
-	net.SetChaos(chaos.NewInjector(plan, nodes))
-	m := New(eng, net, params, 1, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		node := i
-		net.SetHandler(node, func(src int, msg fabric.Message) {
-			if !m.HandleMessage(node, src, msg) {
-				t.Errorf("unhandled message at node %d from %d: %T", node, src, msg)
-			}
-		})
-	}
-	return &env{eng: eng, net: net, m: m}
-}
 
 // TestChaosDedupStateStaysBounded drives thousands of deduplicated
 // transactions through a lossy, duplicating fabric and checks that the

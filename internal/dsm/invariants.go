@@ -18,11 +18,12 @@ import (
 //     owner has a present read-only (or home-writable pre-share) mapping,
 //     every owner's frame is byte-identical, and no non-owner has the page.
 //
-// Under DistributedManager the directory lives sharded across per-node
-// tables instead of the shared tree; additionally each entry must be hosted
-// at exactly one shard — its current home.
+// Under the sharded directory (HomeMigrate and DistributedManager) the
+// entries live in per-node tables instead of the origin's tree;
+// additionally each entry must be hosted at exactly one shard — its
+// current home.
 func (m *Manager) CheckInvariants() error {
-	if m.policy.proto() == DistributedManager {
+	if m.sharded() {
 		return m.checkInvariantsDist()
 	}
 	var err error

@@ -44,9 +44,9 @@ func (m *Manager) Prefetch(t *sim.Task, ctx Ctx, vpns []uint64) (int, error) {
 		return 0, nil
 	}
 	if m.policy.proto() == DistributedManager {
-		// The batched exchange targets the origin's directory; with the
-		// directory sharded across nodes there is no single server to batch
-		// against, so the hint degrades to ordinary demand faulting.
+		// The batched exchange targets the origin's directory; with lookups
+		// hash-anchored across every node there is no single server to
+		// batch against, so the hint degrades to ordinary demand faulting.
 		return 0, nil
 	}
 	if m.chaos != nil {
@@ -146,11 +146,11 @@ func (m *Manager) servePrefetch(t *sim.Task, req *prefetchRequest) {
 	needAck := false
 	for i, vpn := range req.vpns {
 		token := req.tokens[i]
-		de, _ := m.entry(vpn)
-		// A page whose home has migrated away from the origin cannot be
-		// served here (HomeMigrate only); bounce it like a busy page so the
+		// A page whose home has migrated away from the origin has no entry
+		// here (HomeMigrate only); bounce it like a busy page so the
 		// requester falls back to demand faulting at the real home.
-		bounce := de.busy() || de.home != m.origin
+		de := m.policy.serveEntry(m.origin, vpn)
+		bounce := de == nil || de.busy()
 		if bounce || de.has(req.node) {
 			m.net.Send(t, m.origin, req.node, &pageReply{pid: m.pid, token: token, nack: bounce, stale: !bounce})
 			continue

@@ -70,30 +70,35 @@ func TestManagerReportsProtocol(t *testing.T) {
 }
 
 // TestHomeMigrateFollowsWriter checks the policy's defining move: after a
-// remote node takes a page exclusively, the directory home is that node, and
-// the old home holds a hint pointing at it.
+// remote node takes a page exclusively, the directory home is that node
+// (the entry lives in its shard table), and the origin — every page's
+// anchor — holds a forwarding pointer to it.
 func TestHomeMigrateFollowsWriter(t *testing.T) {
 	e := newEnv(t, 3, homeParams())
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 1, testAddr, 42)
 	})
 	e.run(t)
-	de, ok := e.m.dir.Get(testAddr.VPN())
-	if !ok {
+	vpn := testAddr.VPN()
+	de := e.m.distEntry(vpn)
+	if de == nil {
 		t.Fatal("no directory entry after the write")
 	}
 	if de.home != 1 || de.writer != 1 {
 		t.Fatalf("home = %d, writer = %d; want both 1 after a remote write", de.home, de.writer)
 	}
-	if h := e.m.nodes[0].homeHint[testAddr.VPN()]; h != 1 {
-		t.Fatalf("origin's home hint = %d, want 1", h)
+	if e.m.nodes[1].dir[vpn] != de {
+		t.Fatal("entry not hosted in the writer's shard table")
+	}
+	if fw, ok := e.m.nodes[0].fwd[vpn]; !ok || fw != 1 {
+		t.Fatalf("origin's forwarding pointer = %d (set %v), want 1", fw, ok)
 	}
 }
 
-// TestHomeMigrateRedirectRepairsStaleHint sends a reader with no hint to the
-// origin after the home has moved away: the origin must redirect (not serve),
-// the reader must land at the real home, read the right data, and come away
-// with a repaired hint.
+// TestHomeMigrateRedirectRepairsStaleHint sends a reader with no route to
+// the origin after the home has moved away: the origin must forward (not
+// serve), the reader must land at the real home, read the right data, and
+// come away with a route to it.
 func TestHomeMigrateRedirectRepairsStaleHint(t *testing.T) {
 	e := newEnv(t, 3, homeParams())
 	var got byte
@@ -105,10 +110,14 @@ func TestHomeMigrateRedirectRepairsStaleHint(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("read after redirect = %d, want 42", got)
 	}
-	if h := e.m.nodes[2].homeHint[testAddr.VPN()]; h != 1 {
-		t.Fatalf("reader's home hint = %d, want 1 (learned from the redirect)", h)
+	vpn := testAddr.VPN()
+	if fw, ok := e.m.nodes[2].fwd[vpn]; !ok || fw != 1 {
+		t.Fatalf("reader's route = %d (set %v), want 1 (learned from the redirect)", fw, ok)
 	}
-	de, _ := e.m.dir.Get(testAddr.VPN())
+	if st := e.m.Stats(); st.Forwards == 0 {
+		t.Fatalf("Forwards = 0; the origin served instead of forwarding (stats: %+v)", st)
+	}
+	de := e.m.distEntry(vpn)
 	if de.home != 1 || de.writer != -1 || !de.has(1) || !de.has(2) {
 		t.Fatalf("entry after redirected read: home=%d writer=%d owners=%#x", de.home, de.writer, de.owners)
 	}

@@ -49,7 +49,7 @@ func TestParallelCoreEquivalenceAllApps(t *testing.T) {
 }
 
 // TestParallelCoreEquivalenceProtocols covers the home-migrate protocol too;
-// it clamps back to the serial scheduler, which must be outcome-invisible.
+// its shards serve on parallel lanes, which must be outcome-invisible.
 func TestParallelCoreEquivalenceProtocols(t *testing.T) {
 	app, _ := apps.ByName("kmn")
 	for _, proto := range []dex.Protocol{dex.WriteInvalidate, dex.HomeMigrate} {
@@ -64,6 +64,27 @@ func TestParallelCoreEquivalenceProtocols(t *testing.T) {
 			t.Fatalf("protocol %v diverged between cores=1 and cores=4:\nserial:   %+v\nparallel: %+v",
 				proto, serial, parallel)
 		}
+	}
+}
+
+// TestHomeMigrateRunsParallel pins that nothing forces home-migrate back to
+// the serial scheduler: its directory lives in per-node shard tables, so a
+// cluster built WithCores(4) keeps four simulator cores, and the run's
+// lookahead windows dispatch several node lanes at once.
+func TestHomeMigrateRunsParallel(t *testing.T) {
+	c := dex.NewCluster(4, dex.WithProtocol(dex.HomeMigrate), dex.WithCores(4))
+	if got := c.Machine().Engine().Cores(); got != 4 {
+		t.Fatalf("home-migrate clamped the simulator to %d cores, want 4", got)
+	}
+	app, _ := apps.ByName("kmn")
+	res := runApp(t, app, apps.Config{
+		Nodes:   4,
+		Variant: apps.Optimized,
+		Opts:    []dex.Option{dex.WithProtocol(dex.HomeMigrate)},
+	}, 4)
+	s := res.Report.Sched
+	if s.MaxWindowLanes < 2 || s.LaneDispatches <= s.Windows-s.SerializedWindows {
+		t.Fatalf("no window dispatched more than one lane: %+v", s)
 	}
 }
 

@@ -117,8 +117,8 @@ func TestTracedParallelByteIdenticalAllApps(t *testing.T) {
 	}
 }
 
-// TestTracedParallelByteIdenticalProtocols covers both coherence policies;
-// home-migrate still clamps to serial, which must be export-invisible.
+// TestTracedParallelByteIdenticalProtocols covers write-invalidate and
+// home-migrate; both run parallel lanes, which must be export-invisible.
 func TestTracedParallelByteIdenticalProtocols(t *testing.T) {
 	app, _ := apps.ByName("kmn")
 	for _, proto := range []dex.Protocol{dex.WriteInvalidate, dex.HomeMigrate} {
